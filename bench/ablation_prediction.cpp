@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
   table.set_header({"Typology", "CVTR mean|d|", "CVTR p95|d|", "ConstAccel mean|d|",
                     "ConstAccel p95|d|", "probes"});
 
+  core::RiskSession session;
   for (scenario::Typology t : scenario::kAllTypologies) {
     if (t == scenario::Typology::kFrontAccident) continue;
     const auto suite =
@@ -78,13 +79,14 @@ int main(int argc, char** argv) {
       for (int frac = 1; frac <= 4; ++frac) {
         const int step = episode.samples * frac / 5;
         const auto scene = episode.snapshot_at(step);
-        const double truth = sti.combined(*scene.map, scene.ego.state, common::Seconds{scene.time},
+        const common::Seconds t0{scene.time};
+        const double truth = sti.combined(session, *scene.map, scene.ego.state, t0,
                                           episode.ground_truth_forecasts(step));
         const double with_cvtr =
-            sti.combined(*scene.map, scene.ego.state, common::Seconds{scene.time},
+            sti.combined(session, *scene.map, scene.ego.state, t0,
                          predicted_forecasts(episode, step, cvtr, horizon, dt));
         const double with_ca =
-            sti.combined(*scene.map, scene.ego.state, common::Seconds{scene.time},
+            sti.combined(session, *scene.map, scene.ego.state, t0,
                          predicted_forecasts(episode, step, const_accel, horizon, dt));
         cvtr_err.push_back(std::abs(with_cvtr - truth));
         ca_err.push_back(std::abs(with_ca - truth));

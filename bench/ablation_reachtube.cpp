@@ -86,14 +86,16 @@ int main(int argc, char** argv) {
 
   // Reference values: the default configuration for the full-horizon rows,
   // the short-horizon dedup-on configuration for the dedup comparison.
+  core::RiskSession session;
+  auto combined = [&](const core::StiCalculator& sti, const Scene& s) {
+    return sti.combined(session, *s.snapshot.map, s.snapshot.ego.state,
+                        common::Seconds{s.snapshot.time}, s.forecasts);
+  };
   auto evaluate = [&](const core::ReachTubeParams& params) {
     const core::StiCalculator sti(params);
     std::vector<double> out;
     out.reserve(scenes.size());
-    for (const Scene& s : scenes) {
-      out.push_back(
-          sti.combined(*s.snapshot.map, s.snapshot.ego.state, common::Seconds{s.snapshot.time}, s.forecasts));
-    }
+    for (const Scene& s : scenes) out.push_back(combined(sti, s));
     return out;
   };
   const std::vector<double> reference_full = evaluate(configs[0].params);
@@ -109,9 +111,7 @@ int main(int argc, char** argv) {
     common::RunningStat diff;
     const bench::WallTimer timer;
     for (std::size_t i = 0; i < scenes.size(); ++i) {
-      const Scene& s = scenes[i];
-      const double v =
-          sti.combined(*s.snapshot.map, s.snapshot.ego.state, common::Seconds{s.snapshot.time}, s.forecasts);
+      const double v = combined(sti, scenes[i]);
       value.add(v);
       diff.add(std::abs(v - reference[i]));
     }

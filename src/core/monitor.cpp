@@ -37,12 +37,6 @@ RiskMonitor::RiskMonitor(const RiskMonitorParams& params, common::ThreadPool* po
                "RiskMonitorParams: hysteresis_updates must be >= 1");
 }
 
-void RiskMonitor::reset() { session_.reset(); }
-
-RiskMonitor::Assessment RiskMonitor::update(const sim::World& world) {
-  return update(session_, world);
-}
-
 RiskMonitor::Assessment RiskMonitor::update(RiskSession& session,
                                             const sim::World& world) const {
   IPRISM_SCOPED_TIMER("monitor.update", "monitor");
@@ -58,11 +52,11 @@ RiskMonitor::Assessment RiskMonitor::update(RiskSession& session,
 
   // Already elevated: the per-actor attribution is wanted every tick, so go
   // straight to the full per-actor compute (one attributed propagation plus
-  // N+1 memoized replays under the §12 delta engine). At kSafe, run the
-  // cheap combined() first — one attributed tube plus at most one |T^{∅}|
-  // replay; steady-state safe ticks never pay for per-actor counterfactuals
-  // — and decide attribution from the *implied* level of the STI it returns
-  // (below), not from the stale pre-update level_.
+  // N+1 memoized replays, DESIGN.md §12). At kSafe, run the cheap combined()
+  // first — one attributed tube plus at most one |T^{∅}| replay; steady-state
+  // safe ticks never pay for per-actor counterfactuals — and decide
+  // attribution from the *implied* level of the STI it returns (below), not
+  // from the stale pre-update level_.
   std::optional<StiResult> full;
   if (may_attribute && st.level >= RiskLevel::kCaution) {
     IPRISM_COUNT("monitor.attribution_runs");
@@ -90,9 +84,9 @@ RiskMonitor::Assessment RiskMonitor::update(RiskSession& session,
   // Escalation-tick attribution: this tick crosses into kCaution/kCritical
   // from below, so the combined()-only fast path above skipped the
   // per-actor pass. Re-run the full compute now — tube evaluation is
-  // deterministic (DESIGN.md §8) and both engines derive |T| and |T^{∅}|
-  // identically (§12), so full.combined is bit-identical to the value
-  // already in out.sti_combined and `implied` stands.
+  // deterministic (DESIGN.md §8) and compute() derives |T| and |T^{∅}|
+  // exactly as combined() does (§12), so full.combined is bit-identical to
+  // the value already in out.sti_combined and `implied` stands.
   if (may_attribute && implied > st.level && !full) {
     IPRISM_COUNT("monitor.attribution_runs");
     full = sti_.compute(session, world.map(), world.ego().state,

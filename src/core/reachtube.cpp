@@ -136,28 +136,6 @@ std::vector<ObstacleTimeline> ReachTubeComputer::sample_obstacles(
   return out;
 }
 
-bool ReachTubeComputer::state_ok(const roadmap::DrivableMap& map,
-                                 const dynamics::VehicleState& s,
-                                 std::span<const ObstacleTimeline> obstacles,
-                                 std::span<const std::uint32_t> active,
-                                 common::SliceIdx slice_idx) const {
-  const std::size_t slice = slice_idx.value();
-  const geom::OrientedBox ego_box = dynamics::footprint(s, params_.ego_dims);
-  if (!map.contains_box(ego_box, params_.map_margin)) return false;
-  const double ego_r = ego_circumradius_;
-  for (const std::uint32_t oi : active) {
-    const ObstacleTimeline& obs = obstacles[oi];
-    IPRISM_DCHECK(slice < obs.by_slice.size(),
-                  "ReachTube: slice index out of obstacle timeline bounds");
-    const geom::OrientedBox& box = obs.by_slice[slice];
-    // Broad phase before the exact SAT test (radius precomputed per timeline).
-    const double r = ego_r + obs.circumradius_by_slice[slice];
-    if ((box.center() - ego_box.center()).norm_sq() > r * r) continue;
-    if (ego_box.intersects(box)) return false;
-  }
-  return true;
-}
-
 BlockRecord ReachTubeComputer::classify_state(const roadmap::DrivableMap& map,
                                               const dynamics::VehicleState& s,
                                               std::span<const ObstacleTimeline> obstacles,
@@ -486,10 +464,7 @@ void ReachTubeComputer::load_active_set(const TubeAttribution& attr, TubeScratch
 
 ReachTubeComputer::ScratchShape ReachTubeComputer::scratch_shape(
     std::size_t obstacle_count) const {
-  const std::size_t expected =
-      params_.scratch_reserve > 0
-          ? params_.scratch_reserve
-          : std::min<std::size_t>(params_.max_states_per_slice, 4096);
+  const std::size_t expected = std::min<std::size_t>(params_.max_states_per_slice, 4096);
   // Worst-case lanes one parent can queue past the kLaneBlock flush
   // threshold: with boundary controls only, the boundary set; with uniform
   // sampling, whichever of the two control counts is larger.
@@ -539,7 +514,10 @@ ReachTube ReachTubeComputer::compute(RiskSession& session, const roadmap::Drivab
   // Slice 0: the current ego state. If it already collides (or is off-map),
   // every escape route is gone and the tube is empty.
   build_active_set(obstacles, ego, scratch, common::SliceIdx{0});
-  if (!state_ok(map, ego, obstacles, scratch.active, common::SliceIdx{0})) return tube;
+  if (classify_state(map, ego, obstacles, scratch.active, common::SliceIdx{0}).cls !=
+      BlockerClass::kPassed) {
+    return tube;
+  }
   tube.slices[0].push_back(ego);
 
   std::size_t volume_cells = 1;  // the seed's own cell
@@ -552,10 +530,10 @@ ReachTube ReachTubeComputer::compute(RiskSession& session, const roadmap::Drivab
       [&](common::SliceIdx si) { analyze_lanes(obstacles, scratch, si, /*max_hits=*/1); },
       [&](std::size_t lane, const dynamics::VehicleState&, common::SliceIdx) {
         const auto& lanes = scratch.lanes;
-        // Same conjunction as the scalar state_ok (map ∧ no obstacle hit),
-        // with the obstacle side answered from the analyzed block; neither
-        // test has side effects, so evaluation order is free — check the
-        // in-hand hit count before the virtual map call.
+        // Same answer as a kPassed from the scalar classify_state (map ∧
+        // no obstacle hit), with the obstacle side read from the analyzed
+        // block; neither test has side effects, so evaluation order is free
+        // — check the in-hand hit count before the virtual map call.
         if (lanes.hits[lane] != 0) return false;
         return map.contains_box_geom(
             {lanes.nx[lane], lanes.ny[lane]}, half_len, half_wid,
@@ -569,18 +547,6 @@ ReachTube ReachTubeComputer::compute(RiskSession& session, const roadmap::Drivab
   tube.volume = static_cast<double>(volume_cells);
   IPRISM_DCHECK(tube.volume >= 1.0, "ReachTube: non-empty tube must have positive volume");
   return tube;
-}
-
-ReachTube ReachTubeComputer::compute(const roadmap::DrivableMap& map,
-                                     const dynamics::VehicleState& ego,
-                                     std::span<const ObstacleTimeline> obstacles,
-                                     common::ActorId exclude) const {
-  // Legacy session-less form: a transient session leases a cold scratch and
-  // throws it away. Bit-identical by construction — the session only decides
-  // *where* scratch comes from, never what the propagation computes
-  // (DESIGN.md §9/§14).
-  RiskSession session;
-  return compute(session, map, ego, obstacles, exclude);
 }
 
 AttributedTube ReachTubeComputer::compute_attributed(
@@ -699,13 +665,6 @@ AttributedTube ReachTubeComputer::compute_attributed(
   return out;
 }
 
-AttributedTube ReachTubeComputer::compute_attributed(
-    const roadmap::DrivableMap& map, const dynamics::VehicleState& ego,
-    std::span<const ObstacleTimeline> obstacles) const {
-  RiskSession session;
-  return compute_attributed(session, map, ego, obstacles);
-}
-
 ReachTube ReachTubeComputer::replay_counterfactual(
     RiskSession& session, const roadmap::DrivableMap& map,
     const dynamics::VehicleState& ego, std::span<const ObstacleTimeline> obstacles,
@@ -716,8 +675,8 @@ ReachTube ReachTubeComputer::replay_counterfactual(
                    attr.slices.size() == static_cast<std::size_t>(slices_) + 1 &&
                    attr.active_offsets.size() == static_cast<std::size_t>(slices_) + 2,
                "ReachTube: attribution record does not match this obstacles/params set");
-  IPRISM_DCHECK(exclude_all || exclude_index < obstacles.size(),
-                "ReachTube: counterfactual exclude index out of range");
+  IPRISM_CHECK(exclude_all || exclude_index < obstacles.size(),
+               "ReachTube: counterfactual exclude index out of range");
 
   CounterfactualStats local;
   CounterfactualStats& st = stats != nullptr ? *stats : local;
@@ -726,8 +685,8 @@ ReachTube ReachTubeComputer::replay_counterfactual(
   const std::uint32_t jstar =
       exclude_all ? attr.first_actor_block : attr.first_sole_block[exclude_index];
   if (jstar == TubeAttribution::kNever) {
-    // The lifted blocker(s) never rejected a candidate: every state_ok
-    // outcome — and therefore the whole propagation — is unchanged.
+    // The lifted blocker(s) never rejected a candidate: every candidate
+    // test — and therefore the whole propagation — is unchanged.
     st.free = true;
     return base.tube;
   }
@@ -765,7 +724,8 @@ ReachTube ReachTubeComputer::replay_counterfactual(
       }
     }
     ++st.fresh_tests;
-    return state_ok(map, ns, obstacles, scratch.active, si);
+    return classify_state(map, ns, obstacles, scratch.active, si).cls ==
+           BlockerClass::kPassed;
   };
 
   std::size_t volume_cells = 0;
@@ -780,7 +740,7 @@ ReachTube ReachTubeComputer::replay_counterfactual(
     volume_cells = 1;
   } else {
     // Slices before the divergence are bit-identical by induction: no
-    // state_ok outcome differs there, so the exact states (and the RNG
+    // candidate test differs there, so the exact states (and the RNG
     // stream) are the base run's — copy, don't recompute.
     for (std::size_t k = 0; k < jstar; ++k) tube.slices[k] = base.tube.slices[k];
     volume_cells = attr.volume_prefix[jstar - 1];
@@ -788,8 +748,8 @@ ReachTube ReachTubeComputer::replay_counterfactual(
     first_loop = static_cast<int>(jstar) - 1;
   }
   // Replays share the batch step/key stages but skip the geometry analysis:
-  // `test` answers from the memo (or falls back to the scalar state_ok for
-  // delta candidates the base never tested), reading nothing from the
+  // `test` answers from the memo (or falls back to the scalar classify_state
+  // for delta candidates the base never tested), reading nothing from the
   // analyzed lane outcomes. The active set is the base run's, filtered
   // through this replay's exclusions while loading — identical to rebuilding
   // it, since the disc test never depended on exclusions.
@@ -816,15 +776,6 @@ ReachTube ReachTubeComputer::compute_counterfactual(
                                /*exclude_all=*/false, exclude_index, stats);
 }
 
-ReachTube ReachTubeComputer::compute_counterfactual(
-    const roadmap::DrivableMap& map, const dynamics::VehicleState& ego,
-    std::span<const ObstacleTimeline> obstacles, const AttributedTube& base,
-    std::size_t exclude_index, CounterfactualStats* stats) const {
-  RiskSession session;
-  return compute_counterfactual(session, map, ego, obstacles, base, exclude_index,
-                                stats);
-}
-
 ReachTube ReachTubeComputer::compute_unblocked(RiskSession& session,
                                                const roadmap::DrivableMap& map,
                                                const dynamics::VehicleState& ego,
@@ -833,33 +784,6 @@ ReachTube ReachTubeComputer::compute_unblocked(RiskSession& session,
                                                CounterfactualStats* stats) const {
   return replay_counterfactual(session, map, ego, obstacles, base,
                                /*exclude_all=*/true, /*exclude_index=*/0, stats);
-}
-
-ReachTube ReachTubeComputer::compute_unblocked(const roadmap::DrivableMap& map,
-                                               const dynamics::VehicleState& ego,
-                                               std::span<const ObstacleTimeline> obstacles,
-                                               const AttributedTube& base,
-                                               CounterfactualStats* stats) const {
-  RiskSession session;
-  return compute_unblocked(session, map, ego, obstacles, base, stats);
-}
-
-ReachTube ReachTubeComputer::compute(RiskSession& session, const roadmap::DrivableMap& map,
-                                     const dynamics::VehicleState& ego,
-                                     common::Seconds t0,
-                                     std::span<const ActorForecast> forecasts,
-                                     common::ActorId exclude) const {
-  const auto obstacles = sample_obstacles(forecasts, t0);
-  return compute(session, map, ego, obstacles, exclude);
-}
-
-ReachTube ReachTubeComputer::compute(const roadmap::DrivableMap& map,
-                                     const dynamics::VehicleState& ego,
-                                     common::Seconds t0,
-                                     std::span<const ActorForecast> forecasts,
-                                     common::ActorId exclude) const {
-  RiskSession session;
-  return compute(session, map, ego, t0, forecasts, exclude);
 }
 
 }  // namespace iprism::core

@@ -66,19 +66,6 @@ struct ReachTubeParams {
   /// result, only wall-clock (DESIGN.md §8). RiskMonitorParams::tube and
   /// SmcTrainConfig::tube plumb it into the monitor and SMC training.
   int num_threads = 0;
-  /// Shared-wavefront counterfactual engine (DESIGN.md §12): propagate the
-  /// base tube once with blocked-by attribution, then derive every |T^{-i}|
-  /// and |T^{∅}| by memoized replay from the first slice actor i changed.
-  /// Results are bit-identical to the from-scratch fan-out for any value of
-  /// this flag (enforced by the CounterfactualDeltaIdentity suites); false
-  /// restores the N+2 independent propagations for A/B benchmarking.
-  bool delta_counterfactuals = true;
-  /// Initial reserve (entries) for the per-compute() scratch containers;
-  /// 0 = auto (min(max_states_per_slice, 4096)). Purely a performance hint:
-  /// the scratch is built on common::FlatHashGrid, whose iteration order is
-  /// insertion order regardless of capacity, so tube results are bit-identical
-  /// for any value (DESIGN.md §9; enforced by the capacity-invariance tests).
-  std::size_t scratch_reserve = 0;
 };
 
 /// An actor's footprint at each tube time slice (pre-sampled from its
@@ -114,17 +101,17 @@ struct ReachTube {
 // The N+2 tubes of one STI evaluation share almost their whole wavefront:
 // |T^{-i}| differs from |T| only downstream of candidates that actor i alone
 // rejected. An *attributed* base propagation records, for every candidate
-// state_ok tested, who (if anyone) rejected it; each counterfactual is then
+// it tested, who (if anyone) rejected it; each counterfactual is then
 // produced by *memoized replay* — the slices before actor i's first sole
 // rejection are copied verbatim, and from there the propagation loop re-runs
 // with collision geometry answered from the record. Fresh geometry runs only
 // on the delta wavefront, and an actor that rejected nothing gets
 // |T^{-i}| ≡ |T| without any re-expansion. Replay executes the exact
 // propagation loop, so results are bit-identical (contents, cardinalities,
-// SplitMix64 emission order — the §9 contract) to from-scratch
-// compute(..., exclude).
+// SplitMix64 emission order — the §9 contract) to a from-scratch propagation
+// without actor i (checked against the scalar test oracle, tests/oracle.hpp).
 
-/// Classification of one recorded state_ok outcome.
+/// Classification of one recorded candidate test.
 enum class BlockerClass : std::uint8_t {
   kPassed = 0,  ///< state survived every test
   kOffMap = 1,  ///< footprint left the drivable area; no actor removal rescues it
@@ -140,7 +127,7 @@ struct BlockRecord {
   BlockerClass cls = BlockerClass::kPassed;
 };
 
-/// Per-slice memo of every state_ok outcome of an attributed propagation.
+/// Per-slice memo of every candidate test of an attributed propagation.
 /// Flat containers only (§9): records live in a dense vector; `by_state`
 /// maps a SplitMix64 hash of the state bits to the first record with that
 /// hash (replay verifies full state equality and falls back to geometry on
@@ -201,7 +188,7 @@ struct AttributedTube {
 struct CounterfactualStats {
   bool free = false;            ///< no divergence: tube copied from the base
   std::uint32_t replay_from = 0;  ///< first re-propagated slice (when !free)
-  std::size_t memo_hits = 0;    ///< state_ok answers served from the record
+  std::size_t memo_hits = 0;    ///< candidate tests answered from the record
   std::size_t fresh_tests = 0;  ///< geometry tests actually run (the delta)
 };
 
@@ -223,15 +210,12 @@ class ReachTubeComputer {
   std::vector<ObstacleTimeline> sample_obstacles(
       std::span<const ActorForecast> forecasts, common::Seconds t0) const;
 
-  // Every computation below comes in two forms (engine/session split,
-  // DESIGN.md §14): the session-first form leases its scratch from the given
-  // RiskSession — warm after the first call, so a reused session performs
-  // zero steady-state scratch allocations across ticks — and the legacy
-  // session-less form, a thin wrapper constructing a transient session.
-  // Both are const: the computer is an immutable engine; all mutation lands
-  // in the session. Results are bit-identical between the two forms and
-  // across fresh vs reused sessions (enforced by the SessionIdentity and
-  // TubeAlloc suites).
+  // Every computation below takes the RiskSession it leases scratch from
+  // (engine/session split, DESIGN.md §14): warm after the first call, so a
+  // reused session performs zero steady-state scratch allocations across
+  // ticks. All are const — the computer is an immutable engine; all mutation
+  // lands in the session. Results are bit-identical across fresh vs reused
+  // sessions (SessionIdentity and TubeAlloc suites).
 
   /// Computes the tube from `ego` at t0 against the given obstacles.
   /// A valid `exclude` drops that actor — the counterfactual "what if
@@ -240,53 +224,29 @@ class ReachTubeComputer {
                     const dynamics::VehicleState& ego,
                     std::span<const ObstacleTimeline> obstacles,
                     common::ActorId exclude = common::ActorId::none()) const;
-  ReachTube compute(const roadmap::DrivableMap& map, const dynamics::VehicleState& ego,
-                    std::span<const ObstacleTimeline> obstacles,
-                    common::ActorId exclude = common::ActorId::none()) const;
-
-  /// Convenience: forecast sampling + tube in one call.
-  ReachTube compute(RiskSession& session, const roadmap::DrivableMap& map,
-                    const dynamics::VehicleState& ego, common::Seconds t0,
-                    std::span<const ActorForecast> forecasts,
-                    common::ActorId exclude = common::ActorId::none()) const;
-  ReachTube compute(const roadmap::DrivableMap& map, const dynamics::VehicleState& ego,
-                    common::Seconds t0, std::span<const ActorForecast> forecasts,
-                    common::ActorId exclude = common::ActorId::none()) const;
 
   /// One attributed base propagation: the tube is bit-identical to
-  /// compute(map, ego, obstacles) — attribution only *records*, it never
-  /// steers — plus the blocked-by record the replays below consume.
+  /// compute(session, map, ego, obstacles) — attribution only *records*, it
+  /// never steers — plus the blocked-by record the replays below consume.
   AttributedTube compute_attributed(RiskSession& session, const roadmap::DrivableMap& map,
                                     const dynamics::VehicleState& ego,
                                     std::span<const ObstacleTimeline> obstacles) const;
-  AttributedTube compute_attributed(const roadmap::DrivableMap& map,
-                                    const dynamics::VehicleState& ego,
-                                    std::span<const ObstacleTimeline> obstacles) const;
 
-  /// |T^{-i}| for `obstacles[exclude_index]` by memoized replay of `base`.
-  /// Bit-identical to compute(map, ego, obstacles, obstacles[i].actor_id)
-  /// when actor ids are unique; `base` must come from compute_attributed over
-  /// the same (map, ego, obstacles). When the obstacle rejected nothing the
-  /// base tube is returned verbatim (stats->free, zero re-expansion).
+  /// |T^{-i}| for `obstacles[exclude_index]` by memoized replay of `base`
+  /// (checked: `exclude_index < obstacles.size()`). Bit-identical to a
+  /// from-scratch propagation without that obstacle; `base` must come from
+  /// compute_attributed over the same (map, ego, obstacles). When the
+  /// obstacle rejected nothing the base tube is returned verbatim
+  /// (stats->free, zero re-expansion).
   ReachTube compute_counterfactual(RiskSession& session, const roadmap::DrivableMap& map,
-                                   const dynamics::VehicleState& ego,
-                                   std::span<const ObstacleTimeline> obstacles,
-                                   const AttributedTube& base, std::size_t exclude_index,
-                                   CounterfactualStats* stats = nullptr) const;
-  ReachTube compute_counterfactual(const roadmap::DrivableMap& map,
                                    const dynamics::VehicleState& ego,
                                    std::span<const ObstacleTimeline> obstacles,
                                    const AttributedTube& base, std::size_t exclude_index,
                                    CounterfactualStats* stats = nullptr) const;
 
   /// |T^{∅}| by replay with *all* blockers lifted. Bit-identical to
-  /// compute(map, ego, {}) — an empty obstacles span.
+  /// compute(session, map, ego, {}) — an empty obstacles span.
   ReachTube compute_unblocked(RiskSession& session, const roadmap::DrivableMap& map,
-                              const dynamics::VehicleState& ego,
-                              std::span<const ObstacleTimeline> obstacles,
-                              const AttributedTube& base,
-                              CounterfactualStats* stats = nullptr) const;
-  ReachTube compute_unblocked(const roadmap::DrivableMap& map,
                               const dynamics::VehicleState& ego,
                               std::span<const ObstacleTimeline> obstacles,
                               const AttributedTube& base,
@@ -313,7 +273,7 @@ class ReachTubeComputer {
   /// recorder's hooks; the plain and replay paths pass no-ops that inline
   /// away. Every caller — plain, attributed, replay — funnels through this
   /// one loop, which is the §12 bit-identity argument: a replay differs from
-  /// from-scratch only in where state_ok answers come from, and those
+  /// from-scratch only in where candidate-test answers come from, and those
   /// answers are proven equal case by case.
   template <class Activate, class Analyze, class Consult, class OnLoopBegin,
             class OnSliceDone>
@@ -339,9 +299,9 @@ class ReachTubeComputer {
   void load_active_set(const TubeAttribution& attr, detail::TubeScratch& scratch,
                        std::size_t slice) const;
 
-  /// The scratch shape this computer's params demand: expected entries (the
-  /// scratch_reserve hint or its auto default), `obstacle_count` exclusion
-  /// flags, and lane buffers big enough that the per-slice flush loop never
+  /// The scratch shape this computer's params demand: expected entries
+  /// (min(max_states_per_slice, 4096)), `obstacle_count` exclusion flags,
+  /// and lane buffers big enough that the per-slice flush loop never
   /// reallocates (kLaneBlock plus one parent's worst-case control count).
   /// Fed to detail::TubeScratch::reset by every scratch lease.
   struct ScratchShape {
@@ -371,26 +331,22 @@ class ReachTubeComputer {
   /// and carries precomputed circumradii.
   void check_timelines(std::span<const ObstacleTimeline> obstacles) const;
 
-  /// Full-attribution variant of state_ok: never stops at the first
-  /// intersecting obstacle — it keeps scanning until a *second* blocker is
-  /// found (two is enough: no single-actor removal rescues a kMulti).
+  /// The one scalar candidate test: off-map, or a scan of the slice's
+  /// *active* obstacle subset (`active` holds indices into `obstacles`,
+  /// filtered once per slice against a conservative reachable-disc bound)
+  /// that stops at the *second* blocker — two is enough, no single-actor
+  /// removal rescues a kMulti. Serves every seed test and the replay memo's
+  /// misses; the state survives iff the result is kPassed.
   BlockRecord classify_state(const roadmap::DrivableMap& map,
                              const dynamics::VehicleState& s,
                              std::span<const ObstacleTimeline> obstacles,
                              std::span<const std::uint32_t> active,
                              common::SliceIdx slice) const;
-  /// Collision/off-map test against the slice's *active* obstacle subset
-  /// (`active` holds indices into `obstacles`; the caller filters once per
-  /// slice against a conservative reachable-disc bound, so the innermost
-  /// loop only visits obstacles that could possibly intersect).
-  bool state_ok(const roadmap::DrivableMap& map, const dynamics::VehicleState& s,
-                std::span<const ObstacleTimeline> obstacles,
-                std::span<const std::uint32_t> active, common::SliceIdx slice) const;
 
   ReachTubeParams params_;
   dynamics::BicycleModel model_;
   int slices_ = 0;
-  double ego_circumradius_ = 0.0;  ///< constant of ego_dims, hoisted out of state_ok
+  double ego_circumradius_ = 0.0;  ///< constant of ego_dims, hoisted out of the tests
   std::vector<dynamics::Control> boundary_set_;
   /// std::tan(boundary_set_[i].steer), hoisted out of the slice loop — the
   /// batch step kernel takes tan(phi) precomputed (same bits: same libm call

@@ -1,7 +1,7 @@
 // Kernel TU: compiled with -ffp-contract=off (and, under
 // IPRISM_ENABLE_SIMD=OFF, with the tree vectorizers disabled). Every loop
 // body replicates the scalar expression sequence — OrientedBox::corners(),
-// Aabb::expand in corner order, the state_ok broad-phase predicate — with
+// Aabb::expand in corner order, the classify_state broad-phase predicate — with
 // the same association, so SIMD-on, SIMD-off, and the scalar path agree to
 // the bit (enforced by tests/test_geom_kernel_identity.cpp). Any edit here
 // must be mirrored against obb.cpp / aabb.hpp.
@@ -72,7 +72,7 @@ std::size_t broad_phase_cull(std::size_t n, const double* cx, const double* cy, 
   for (std::size_t i = 0; i < n; ++i) {
     const double dx = ox - cx[i];
     const double dy = oy - cy[i];
-    // state_ok skips the SAT test when norm_sq > r² — the mask is the exact
+    // classify_state skips the SAT test when norm_sq > r² — the mask is the exact
     // complement (NaN distances fall through to the narrow phase there too).
     const unsigned char hit = (dx * dx + dy * dy > r_sq) ? 0 : 1;
     mask[i] = hit;

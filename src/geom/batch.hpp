@@ -6,7 +6,7 @@
 // cull against each active obstacle. These kernels compute those quantities
 // for whole lanes at a time, **bit-identically** to the scalar path
 // (dynamics::footprint → OrientedBox::corners()/aabb() and the broad-phase
-// predicate in ReachTubeComputer::state_ok): every expression replicates
+// predicate in ReachTubeComputer::classify_state): every expression replicates
 // the scalar association order exactly, and the TU compiles with
 // -ffp-contract=off so no fused multiply-add can re-round an intermediate.
 // The narrow-phase SAT test deliberately stays scalar
@@ -43,7 +43,7 @@ void footprint_aabbs(std::size_t n, const double* cx, const double* cy, const do
 /// Broad-phase circumradius cull of one obstacle against all lanes:
 /// mask[i] = 1 iff the lane needs the narrow-phase SAT test, i.e. iff
 /// !((ox - cx[i])² + (oy - cy[i])² > r²) — the exact complement of the
-/// state_ok broad-phase `continue`. Returns the number of surviving lanes
+/// classify_state broad-phase `continue`. Returns the number of surviving lanes
 /// so callers can skip the narrow phase wholesale when it is zero.
 std::size_t broad_phase_cull(std::size_t n, const double* cx, const double* cy, double ox,
                              double oy, double r_sq, unsigned char* mask);

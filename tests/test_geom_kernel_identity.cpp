@@ -1,24 +1,19 @@
 // GeomKernelIdentity (DESIGN.md §13): the staged batch kernels that power the
 // reach-tube propagation — SoA bicycle step, footprint axes/corners/AABBs,
 // circumradius broad-phase cull — must be **bit-identical** to the scalar
-// expressions they replace, and the whole batched pipeline must reproduce a
-// scalar generate-then-test reference propagation exactly. The reference here
-// is a test-local replica of the historical scalar loop built on public API
-// only (BicycleModel::step, dynamics::footprint, DrivableMap::contains_box,
-// OrientedBox::intersects, FlatHashGrid, splitmix64_mix), so the suite proves
-// batch ≡ scalar end to end — and, run under both IPRISM_ENABLE_SIMD settings
-// (the simd-off CI leg), that vectorized and unvectorized kernel builds agree
+// expressions they replace, and the whole batched pipeline must reproduce
+// the scalar test oracle (tests/oracle.hpp) exactly. The oracle has no
+// active set and no broad phase, so the suite also proves those two filters
+// change no result — and, run under both IPRISM_ENABLE_SIMD settings (the
+// simd-off CI leg), that vectorized and unvectorized kernel builds agree
 // transitively. Runs in the asan-ubsan and tsan CI jobs.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "common/flat_hash.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "core/reachtube.hpp"
@@ -27,10 +22,10 @@
 #include "dynamics/bicycle.hpp"
 #include "dynamics/state.hpp"
 #include "dynamics/step_batch.hpp"
-#include "dynamics/trajectory.hpp"
 #include "geom/batch.hpp"
 #include "geom/obb.hpp"
 #include "geom/vec2.hpp"
+#include "oracle.hpp"
 #include "roadmap/ring_road.hpp"
 #include "roadmap/straight_road.hpp"
 #include "scenario/factory.hpp"
@@ -198,235 +193,15 @@ TEST(GeomKernelIdentity, ContainsBoxGeomAgreesWithContainsBox) {
   }
 }
 
-// --- scalar-reference full-tube identity ------------------------------------
-
-std::uint64_t ref_xy_key(double x, double y, double inv_cell) {
-  const auto ix = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(std::floor(x * inv_cell)) + (1LL << 30));
-  const auto iy = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(std::floor(y * inv_cell)) + (1LL << 30));
-  return (ix << 32) | (iy & 0xFFFFFFFFULL);
-}
-
-struct RefCellReps {
-  int min_v = -1, max_v = -1, min_h = -1, max_h = -1;
-  double v_lo = 0.0, v_hi = 0.0, h_lo = 0.0, h_hi = 0.0;
-};
-
-bool ref_state_ok(const roadmap::DrivableMap& map, const dynamics::VehicleState& s,
-                  std::span<const core::ObstacleTimeline> obstacles,
-                  std::span<const std::uint32_t> active, std::size_t slice,
-                  const core::ReachTubeParams& params, double ego_r) {
-  const geom::OrientedBox ego_box = dynamics::footprint(s, params.ego_dims);
-  if (!map.contains_box(ego_box, params.map_margin)) return false;
-  for (const std::uint32_t oi : active) {
-    const core::ObstacleTimeline& obs = obstacles[oi];
-    const geom::OrientedBox& box = obs.by_slice[slice];
-    const double r = ego_r + obs.circumradius_by_slice[slice];
-    if ((box.center() - ego_box.center()).norm_sq() > r * r) continue;
-    if (ego_box.intersects(box)) return false;
-  }
-  return true;
-}
-
-void ref_active_set(std::span<const core::ObstacleTimeline> obstacles,
-                    const dynamics::VehicleState& seed, std::size_t slice,
-                    const core::ReachTubeParams& params, double max_speed, double ego_r,
-                    std::vector<std::uint32_t>& out) {
-  out.clear();
-  const geom::Vec2 seed_pos{seed.x, seed.y};
-  constexpr double kSlack = 0.5;
-  const double t = static_cast<double>(slice) * params.dt;
-  const double v_bound = std::min(
-      std::max(seed.speed, 0.0) + std::max(params.limits.accel_max, 0.0) * t, max_speed);
-  const double reach_r = t * v_bound + ego_r + kSlack;
-  for (std::size_t oi = 0; oi < obstacles.size(); ++oi) {
-    const core::ObstacleTimeline& obs = obstacles[oi];
-    const double r = reach_r + obs.circumradius_by_slice[slice];
-    if ((obs.by_slice[slice].center() - seed_pos).norm_sq() > r * r) continue;
-    out.push_back(static_cast<std::uint32_t>(oi));
-  }
-}
-
-/// Test-local replica of the historical scalar propagation loop — one
-/// out-of-line step() and one state_ok() per candidate, interleaved — built
-/// on public API only. The production pipeline must reproduce it to the bit.
-core::ReachTube reference_tube(const roadmap::DrivableMap& map,
-                               const dynamics::VehicleState& ego,
-                               std::span<const core::ObstacleTimeline> obstacles,
-                               const core::ReachTubeParams& params) {
-  const int slices = static_cast<int>(std::lround(params.horizon / params.dt));
-  const dynamics::BicycleModel model(common::Meters{params.wheelbase});
-  const double ego_r =
-      dynamics::footprint(dynamics::VehicleState{}, params.ego_dims).circumradius();
-  const double max_speed = model.max_speed().value();
-  const double inv_cell = 1.0 / params.cell_size;
-  const common::Seconds dt{params.dt};
-
-  std::vector<dynamics::Control> boundary;
-  {
-    const auto& lim = params.limits;
-    std::vector<double> accels;
-    if (params.include_braking_boundary) {
-      accels = {lim.accel_min, 0.0, lim.accel_max};
-    } else {
-      accels = {0.0, lim.accel_max};
-    }
-    for (double a : accels) {
-      for (double phi : {lim.steer_min, 0.0, lim.steer_max}) {
-        boundary.push_back({a, phi});
-      }
-    }
-  }
-
-  core::ReachTube tube;
-  tube.slices.assign(static_cast<std::size_t>(slices) + 1, {});
-
-  std::vector<std::uint32_t> active;
-  ref_active_set(obstacles, ego, 0, params, max_speed, ego_r, active);
-  if (!ref_state_ok(map, ego, obstacles, active, 0, params, ego_r)) return tube;
-  tube.slices[0].push_back(ego);
-
-  std::size_t volume_cells = 1;
-  common::Rng rng(params.sample_seed);
-  common::FlatHashGrid<RefCellReps> cells;
-  common::FlatKeySet occupied;
-  std::vector<dynamics::VehicleState> candidates;
-  std::vector<char> seen;
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> kept;
-
-  for (int j = 0; j < slices; ++j) {
-    const auto& current = tube.slices[static_cast<std::size_t>(j)];
-    auto& next = tube.slices[static_cast<std::size_t>(j) + 1];
-    cells.clear();
-    occupied.clear();
-    candidates.clear();
-
-    const std::size_t slice = static_cast<std::size_t>(j) + 1;
-    ref_active_set(obstacles, ego, slice, params, max_speed, ego_r, active);
-    std::size_t dead_cells = 0;
-    auto try_control = [&](const dynamics::VehicleState& s, const dynamics::Control& u) {
-      if (candidates.size() >= params.max_states_per_slice) return;
-      const dynamics::VehicleState ns = model.step(s, u, dt);
-      if (!params.dedup) {
-        if (!ref_state_ok(map, ns, obstacles, active, slice, params, ego_r)) return;
-        candidates.push_back(ns);
-        occupied.insert(ref_xy_key(ns.x, ns.y, inv_cell));
-        return;
-      }
-      const std::uint64_t key = ref_xy_key(ns.x, ns.y, inv_cell);
-      auto [reps_slot, inserted] = cells.insert(key);
-      if (inserted) {
-        if (!ref_state_ok(map, ns, obstacles, active, slice, params, ego_r)) {
-          ++dead_cells;
-          return;
-        }
-        const int idx = static_cast<int>(candidates.size());
-        candidates.push_back(ns);
-        reps_slot->min_v = reps_slot->max_v = reps_slot->min_h = reps_slot->max_h = idx;
-        reps_slot->v_lo = reps_slot->v_hi = ns.speed;
-        reps_slot->h_lo = reps_slot->h_hi = ns.heading;
-        return;
-      }
-      RefCellReps& reps = *reps_slot;
-      if (reps.min_v < 0) return;
-      const bool improves = ns.speed < reps.v_lo || ns.speed > reps.v_hi ||
-                            ns.heading < reps.h_lo || ns.heading > reps.h_hi;
-      if (!improves) return;
-      if (!ref_state_ok(map, ns, obstacles, active, slice, params, ego_r)) return;
-      const int idx = static_cast<int>(candidates.size());
-      candidates.push_back(ns);
-      if (ns.speed < reps.v_lo) {
-        reps.v_lo = ns.speed;
-        reps.min_v = idx;
-      }
-      if (ns.speed > reps.v_hi) {
-        reps.v_hi = ns.speed;
-        reps.max_v = idx;
-      }
-      if (ns.heading < reps.h_lo) {
-        reps.h_lo = ns.heading;
-        reps.min_h = idx;
-      }
-      if (ns.heading > reps.h_hi) {
-        reps.h_hi = ns.heading;
-        reps.max_h = idx;
-      }
-    };
-
-    for (const dynamics::VehicleState& s : current) {
-      for (const dynamics::Control& u : boundary) try_control(s, u);
-      if (!params.boundary_controls) {
-        const auto& lim = params.limits;
-        for (int n = static_cast<int>(boundary.size()); n < params.uniform_samples; ++n) {
-          try_control(s, {rng.uniform(lim.accel_min, lim.accel_max),
-                          rng.uniform(lim.steer_min, lim.steer_max)});
-        }
-      }
-    }
-
-    if (params.dedup) {
-      volume_cells += cells.size() - dead_cells;
-      seen.assign(candidates.size(), 0);
-      kept.clear();
-      for (const auto& entry : cells) {
-        const RefCellReps& reps = entry.value;
-        for (int idx : {reps.min_v, reps.max_v, reps.min_h, reps.max_h}) {
-          if (idx < 0) continue;
-          if (seen[static_cast<std::size_t>(idx)]) continue;
-          seen[static_cast<std::size_t>(idx)] = 1;
-          kept.emplace_back(common::splitmix64_mix(static_cast<std::uint64_t>(idx)),
-                            static_cast<std::uint32_t>(idx));
-        }
-      }
-      std::sort(kept.begin(), kept.end());
-      next.reserve(kept.size());
-      for (const auto& [mixed, idx] : kept) next.push_back(candidates[idx]);
-    } else {
-      volume_cells += occupied.size();
-      next = candidates;
-    }
-    if (next.empty()) break;
-  }
-
-  tube.volume = static_cast<double>(volume_cells);
-  return tube;
-}
-
-// --- scenario plumbing (mirrors test_parallel_sti.cpp) -----------------------
-
-sim::World typology_world(const scenario::ScenarioFactory& factory,
-                          scenario::Typology typology) {
-  common::Rng rng(7);
-  const auto spec = factory.sample(typology, 0, rng);
-  sim::World world = factory.build(spec);
-  for (int i = 0; i < 20; ++i) world.step(dynamics::Control{0.0, 0.0});
-  return world;
-}
-
-void expect_same_tube(const core::ReachTube& a, const core::ReachTube& b) {
-  // Exact == on purpose: the guarantee is bit-identity, not closeness.
-  EXPECT_EQ(a.volume, b.volume);
-  ASSERT_EQ(a.slices.size(), b.slices.size());
-  for (std::size_t j = 0; j < a.slices.size(); ++j) {
-    ASSERT_EQ(a.slices[j].size(), b.slices[j].size()) << "slice " << j;
-    for (std::size_t i = 0; i < a.slices[j].size(); ++i) {
-      EXPECT_EQ(a.slices[j][i].x, b.slices[j][i].x) << "slice " << j << " state " << i;
-      EXPECT_EQ(a.slices[j][i].y, b.slices[j][i].y) << "slice " << j << " state " << i;
-      EXPECT_EQ(a.slices[j][i].heading, b.slices[j][i].heading)
-          << "slice " << j << " state " << i;
-      EXPECT_EQ(a.slices[j][i].speed, b.slices[j][i].speed)
-          << "slice " << j << " state " << i;
-    }
-  }
-}
+// --- full-pipeline identity against the scalar oracle ------------------------
 
 TEST(GeomKernelIdentity, FullTubeMatchesScalarReferenceAcrossTypologies) {
   const scenario::ScenarioFactory factory;
   for (scenario::Typology typology : scenario::kAllTypologies) {
     SCOPED_TRACE(std::string(scenario::typology_name(typology)));
-    const sim::World world = typology_world(factory, typology);
+    const sim::World world = oracle::typology_world(factory, typology);
     const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
+    core::RiskSession session;
 
     for (bool dedup : {true, false}) {
       for (bool boundary_controls : {true, false}) {
@@ -438,9 +213,9 @@ TEST(GeomKernelIdentity, FullTubeMatchesScalarReferenceAcrossTypologies) {
         const core::ReachTubeComputer rt(params);
         const auto obstacles =
             rt.sample_obstacles(forecasts, common::Seconds{world.time()});
-        expect_same_tube(
-            reference_tube(world.map(), world.ego().state, obstacles, params),
-            rt.compute(world.map(), world.ego().state, obstacles));
+        oracle::expect_same_tube(
+            oracle::oracle_tube(world.map(), world.ego().state, obstacles, params),
+            rt.compute(session, world.map(), world.ego().state, obstacles));
       }
     }
   }
@@ -448,72 +223,57 @@ TEST(GeomKernelIdentity, FullTubeMatchesScalarReferenceAcrossTypologies) {
 
 TEST(GeomKernelIdentity, AttributedAndReplayMatchScalarReference) {
   // The attributed base propagation and the memoized counterfactual replays
-  // route through the same batch path; both must still land on the scalar
-  // reference bits (replays are checked against reference tubes with the
-  // excluded actor's timeline dropped).
+  // route through the same batch path; both must still land on the oracle's
+  // bits (replays against oracle tubes with the excluded actor dropped).
   const scenario::ScenarioFactory factory;
-  const sim::World world = typology_world(factory, scenario::Typology::kLeadSlowdown);
+  const sim::World world =
+      oracle::typology_world(factory, scenario::Typology::kLeadSlowdown);
   const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
 
   const core::ReachTubeParams params;
   const core::ReachTubeComputer rt(params);
   const auto obstacles = rt.sample_obstacles(forecasts, common::Seconds{world.time()});
+  core::RiskSession session;
   const core::AttributedTube base =
-      rt.compute_attributed(world.map(), world.ego().state, obstacles);
-  expect_same_tube(reference_tube(world.map(), world.ego().state, obstacles, params),
-                   base.tube);
+      rt.compute_attributed(session, world.map(), world.ego().state, obstacles);
+  oracle::expect_same_tube(
+      oracle::oracle_tube(world.map(), world.ego().state, obstacles, params), base.tube);
 
-  expect_same_tube(
-      reference_tube(world.map(), world.ego().state, {}, params),
-      rt.compute_unblocked(world.map(), world.ego().state, obstacles, base, nullptr));
+  oracle::expect_same_tube(
+      oracle::oracle_tube(world.map(), world.ego().state, {}, params),
+      rt.compute_unblocked(session, world.map(), world.ego().state, obstacles, base));
 
   for (std::size_t i = 0; i < obstacles.size(); ++i) {
     SCOPED_TRACE("actor_index=" + std::to_string(i));
-    std::vector<core::ObstacleTimeline> reduced;
-    for (std::size_t k = 0; k < obstacles.size(); ++k) {
-      if (k != i) reduced.push_back(obstacles[k]);
-    }
-    expect_same_tube(
-        reference_tube(world.map(), world.ego().state, reduced, params),
-        rt.compute_counterfactual(world.map(), world.ego().state, obstacles, base, i,
-                                  nullptr));
+    oracle::expect_same_tube(
+        oracle::oracle_tube(world.map(), world.ego().state, obstacles, params,
+                            obstacles[i].actor_id),
+        rt.compute_counterfactual(session, world.map(), world.ego().state, obstacles, base,
+                                  i));
   }
 }
 
 TEST(GeomKernelIdentity, StiBitIdenticalAcrossThreadsAndEngines) {
-  // The §13 acceptance matrix: typologies × threads {0,2,4} ×
-  // delta_counterfactuals {on,off} must all produce one bit pattern. Under
-  // the simd-off build (and the sanitizer jobs) this same test pins the
-  // IPRISM_ENABLE_SIMD dimension.
+  // The §13 acceptance matrix: typologies × threads {0,2,4} must all produce
+  // the from-scratch N+2 oracle's bit pattern. Under the simd-off build (and
+  // the sanitizer jobs) this same test pins the IPRISM_ENABLE_SIMD dimension.
   const scenario::ScenarioFactory factory;
   for (scenario::Typology typology : scenario::kAllTypologies) {
     SCOPED_TRACE(std::string(scenario::typology_name(typology)));
-    const sim::World world = typology_world(factory, typology);
+    const sim::World world = oracle::typology_world(factory, typology);
     const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
-
-    const core::StiCalculator reference_calc;
-    const core::StiResult reference = reference_calc.compute(
-        world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
+    const common::Seconds t0{world.time()};
+    const core::StiResult reference =
+        oracle::oracle_sti(world.map(), world.ego().state, t0, forecasts, {});
 
     for (int threads : {0, 2, 4}) {
-      for (bool delta : {true, false}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " delta=" + std::to_string(delta));
-        core::ReachTubeParams params;
-        params.num_threads = threads;
-        params.delta_counterfactuals = delta;
-        const core::StiCalculator calc(params);
-        const core::StiResult got = calc.compute(
-            world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
-        EXPECT_EQ(reference.combined, got.combined);
-        EXPECT_EQ(reference.volume_all, got.volume_all);
-        EXPECT_EQ(reference.volume_empty, got.volume_empty);
-        ASSERT_EQ(reference.per_actor.size(), got.per_actor.size());
-        for (std::size_t i = 0; i < reference.per_actor.size(); ++i) {
-          EXPECT_EQ(reference.per_actor[i].first, got.per_actor[i].first);
-          EXPECT_EQ(reference.per_actor[i].second, got.per_actor[i].second);
-        }
-      }
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      core::ReachTubeParams params;
+      params.num_threads = threads;
+      const core::StiCalculator calc(params);
+      core::RiskSession session;
+      oracle::expect_bit_identical(
+          reference, calc.compute(session, world.map(), world.ego().state, t0, forecasts));
     }
   }
 }

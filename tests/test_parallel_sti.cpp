@@ -1,67 +1,50 @@
 // Determinism suite for the parallel STI engine: with any number of worker
 // threads, StiCalculator must produce *bit-identical* results to the serial
-// path. This holds by construction — every ReachTubeComputer::compute call
-// owns its seeded RNG and results aggregate by index (DESIGN.md §8) — and
-// this suite is the executable form of that argument, run across all five
+// path and to the from-scratch N+2 test oracle (tests/oracle.hpp). This holds
+// by construction — every derived tube is an independent const read of the
+// attributed base and results aggregate by index (DESIGN.md §8) — and this
+// suite is the executable form of that argument, run across all five
 // scenario typologies. It is also part of the CI tsan job, where the same
 // runs double as a data-race check on the fan-out.
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
+#include <optional>
+#include <string>
+
+#include "common/units.hpp"
 #include "core/monitor.hpp"
+#include "core/reachtube.hpp"
+#include "core/session.hpp"
 #include "core/sti.hpp"
 #include "dynamics/cvtr.hpp"
+#include "oracle.hpp"
 #include "scenario/factory.hpp"
 #include "sim/world.hpp"
 
 namespace iprism {
 namespace {
 
-constexpr int kThreadCounts[] = {2, 4, 8};
-
-/// Builds a mid-episode world for a typology (stepped so the threat is live).
-sim::World typology_world(const scenario::ScenarioFactory& factory,
-                          scenario::Typology typology) {
-  common::Rng rng(7);
-  const auto spec = factory.sample(typology, 0, rng);
-  sim::World world = factory.build(spec);
-  for (int i = 0; i < 20; ++i) world.step(dynamics::Control{0.0, 0.0});
-  return world;
-}
-
-void expect_bit_identical(const core::StiResult& serial, const core::StiResult& parallel,
-                          int threads) {
-  SCOPED_TRACE("num_threads=" + std::to_string(threads));
-  // Exact == on purpose: the guarantee is bit-identity, not closeness.
-  EXPECT_EQ(serial.combined, parallel.combined);
-  EXPECT_EQ(serial.volume_all, parallel.volume_all);
-  EXPECT_EQ(serial.volume_empty, parallel.volume_empty);
-  ASSERT_EQ(serial.per_actor.size(), parallel.per_actor.size());
-  for (std::size_t i = 0; i < serial.per_actor.size(); ++i) {
-    EXPECT_EQ(serial.per_actor[i].first, parallel.per_actor[i].first);
-    EXPECT_EQ(serial.per_actor[i].second, parallel.per_actor[i].second);
-  }
-}
+/// 0 is the serial path; every count must land on the oracle's bits.
+constexpr int kThreadCounts[] = {0, 2, 4, 8};
 
 TEST(ParallelSti, BitIdenticalToSerialAcrossAllTypologies) {
   const scenario::ScenarioFactory factory;
   for (scenario::Typology typology : scenario::kAllTypologies) {
     SCOPED_TRACE(std::string(scenario::typology_name(typology)));
-    const sim::World world = typology_world(factory, typology);
+    const sim::World world = oracle::typology_world(factory, typology);
     const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
-
-    const core::StiCalculator serial;
+    const common::Seconds t0{world.time()};
     const core::StiResult reference =
-        serial.compute(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
+        oracle::oracle_sti(world.map(), world.ego().state, t0, forecasts, {});
 
     for (int threads : kThreadCounts) {
+      SCOPED_TRACE("num_threads=" + std::to_string(threads));
       core::ReachTubeParams params;
       params.num_threads = threads;
-      const core::StiCalculator parallel(params);
-      expect_bit_identical(
-          reference,
-          parallel.compute(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts),
-          threads);
+      const core::StiCalculator sti(params);
+      core::RiskSession session;
+      oracle::expect_bit_identical(
+          reference, sti.compute(session, world.map(), world.ego().state, t0, forecasts));
     }
   }
 }
@@ -70,18 +53,18 @@ TEST(ParallelSti, CombinedOnlyBitIdenticalToSerial) {
   const scenario::ScenarioFactory factory;
   for (scenario::Typology typology : scenario::kAllTypologies) {
     SCOPED_TRACE(std::string(scenario::typology_name(typology)));
-    const sim::World world = typology_world(factory, typology);
+    const sim::World world = oracle::typology_world(factory, typology);
     const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
-
-    const core::StiCalculator serial;
+    const common::Seconds t0{world.time()};
     const double reference =
-        serial.combined(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
+        oracle::oracle_sti(world.map(), world.ego().state, t0, forecasts, {}).combined;
+
+    core::RiskSession session;
     for (int threads : kThreadCounts) {
       core::ReachTubeParams params;
       params.num_threads = threads;
-      const core::StiCalculator parallel(params);
-      EXPECT_EQ(reference, parallel.combined(world.map(), world.ego().state,
-                                             common::Seconds{world.time()}, forecasts))
+      const core::StiCalculator sti(params);
+      EXPECT_EQ(reference, sti.combined(session, world.map(), world.ego().state, t0, forecasts))
           << "num_threads=" << threads;
     }
   }
@@ -90,18 +73,20 @@ TEST(ParallelSti, CombinedOnlyBitIdenticalToSerial) {
 TEST(ParallelSti, RepeatedParallelEvaluationsAreStable) {
   // Thread scheduling varies between runs; results must not.
   const scenario::ScenarioFactory factory;
-  const sim::World world = typology_world(factory, scenario::Typology::kGhostCutIn);
+  const sim::World world = oracle::typology_world(factory, scenario::Typology::kGhostCutIn);
   const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
+  const common::Seconds t0{world.time()};
+  const core::StiResult reference =
+      oracle::oracle_sti(world.map(), world.ego().state, t0, forecasts, {});
 
   core::ReachTubeParams params;
   params.num_threads = 4;
   const core::StiCalculator sti(params);
-  const core::StiResult first =
-      sti.compute(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
+  core::RiskSession session;
   for (int run = 0; run < 5; ++run) {
-    expect_bit_identical(
-        first, sti.compute(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts),
-        params.num_threads);
+    SCOPED_TRACE("run=" + std::to_string(run));
+    oracle::expect_bit_identical(
+        reference, sti.compute(session, world.map(), world.ego().state, t0, forecasts));
   }
 }
 
@@ -109,17 +94,18 @@ TEST(ParallelSti, MonitorAssessmentsUnchangedByThreads) {
   // End-to-end plumbing check: RiskMonitorParams::tube.num_threads must not
   // change any assessment the streaming monitor produces.
   const scenario::ScenarioFactory factory;
-  core::RiskMonitorParams serial_params;
   core::RiskMonitorParams parallel_params;
   parallel_params.tube.num_threads = 4;
-  core::RiskMonitor serial(serial_params);
-  core::RiskMonitor parallel(parallel_params);
+  const core::RiskMonitor serial;
+  const core::RiskMonitor parallel(parallel_params);
+  core::RiskSession serial_session;
+  core::RiskSession parallel_session;
 
-  sim::World world = typology_world(factory, scenario::Typology::kLeadSlowdown);
+  sim::World world = oracle::typology_world(factory, scenario::Typology::kLeadSlowdown);
   for (int step = 0; step < 30; ++step) {
     world.step(dynamics::Control{0.0, 0.0});
-    const auto a = serial.update(world);
-    const auto b = parallel.update(world);
+    const auto a = serial.update(serial_session, world);
+    const auto b = parallel.update(parallel_session, world);
     EXPECT_EQ(a.sti_combined, b.sti_combined) << "step " << step;
     EXPECT_EQ(a.level, b.level) << "step " << step;
     EXPECT_EQ(a.riskiest_actor, b.riskiest_actor) << "step " << step;
@@ -127,164 +113,104 @@ TEST(ParallelSti, MonitorAssessmentsUnchangedByThreads) {
   }
 }
 
-// Capacity invariance: ReachTubeParams::scratch_reserve sizes the
-// FlatHashGrid-based per-compute scratch, and because that container's
-// iteration order is insertion order regardless of capacity (DESIGN.md §9),
-// any reserve must yield *bit-identical* tubes. This is the end-to-end form
-// of the container's order guarantee — the old std::unordered_* scratch
-// could not be pre-reserved precisely because this test would fail. Runs in
-// the CI tsan job alongside the thread-identity suites.
-constexpr std::size_t kScratchReserves[] = {0, 64, 4096};
-
-void expect_same_tube(const core::ReachTube& a, const core::ReachTube& b,
-                      std::size_t reserve) {
-  SCOPED_TRACE("scratch_reserve=" + std::to_string(reserve));
-  // Exact == on purpose: the guarantee is bit-identity, not closeness.
-  EXPECT_EQ(a.volume, b.volume);
-  ASSERT_EQ(a.slices.size(), b.slices.size());
-  for (std::size_t j = 0; j < a.slices.size(); ++j) {
-    ASSERT_EQ(a.slices[j].size(), b.slices[j].size()) << "slice " << j;
-    for (std::size_t i = 0; i < a.slices[j].size(); ++i) {
-      EXPECT_EQ(a.slices[j][i].x, b.slices[j][i].x) << "slice " << j << " state " << i;
-      EXPECT_EQ(a.slices[j][i].y, b.slices[j][i].y) << "slice " << j << " state " << i;
-      EXPECT_EQ(a.slices[j][i].heading, b.slices[j][i].heading)
-          << "slice " << j << " state " << i;
-      EXPECT_EQ(a.slices[j][i].speed, b.slices[j][i].speed)
-          << "slice " << j << " state " << i;
-    }
-  }
-}
-
-TEST(TubeCapacityInvariance, TubesBitIdenticalAcrossScratchReserves) {
-  const scenario::ScenarioFactory factory;
-  for (scenario::Typology typology : scenario::kAllTypologies) {
-    SCOPED_TRACE(std::string(scenario::typology_name(typology)));
-    const sim::World world = typology_world(factory, typology);
-    const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
-
-    const core::ReachTubeComputer reference_rt;
-    const core::ReachTube reference =
-        reference_rt.compute(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
-
-    for (std::size_t reserve : kScratchReserves) {
-      core::ReachTubeParams params;
-      params.scratch_reserve = reserve;
-      const core::ReachTubeComputer rt(params);
-      expect_same_tube(
-          reference,
-          rt.compute(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts), reserve);
-    }
-  }
-}
-
-TEST(TubeCapacityInvariance, StiBitIdenticalAcrossScratchReservesAndThreads) {
-  // The combined matrix: scratch sizing x worker threads, both of which must
-  // be pure performance knobs with no observable effect on STI.
-  const scenario::ScenarioFactory factory;
-  const sim::World world = typology_world(factory, scenario::Typology::kLeadCutIn);
-  const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
-
-  const core::StiCalculator serial;
-  const core::StiResult reference =
-      serial.compute(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
-
-  for (std::size_t reserve : kScratchReserves) {
-    for (int threads : {0, 2, 4}) {
-      core::ReachTubeParams params;
-      params.scratch_reserve = reserve;
-      params.num_threads = threads;
-      const core::StiCalculator sti(params);
-      SCOPED_TRACE("scratch_reserve=" + std::to_string(reserve));
-      expect_bit_identical(
-          reference,
-          sti.compute(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts),
-          threads);
-    }
-  }
-}
-
 // --- CounterfactualDeltaIdentity (DESIGN.md §12) ---------------------------
 //
 // The shared-wavefront engine derives every counterfactual tube from one
 // attributed base propagation by memoized replay. Its contract is *exact*
-// identity — contents, cardinalities, SplitMix64 emission order — with the
-// from-scratch compute(..., exclude) it replaces, for every typology, thread
-// count, and scratch reserve. These suites are the executable form of that
-// contract and run in the CI tsan job (the replay fan-out is the new
-// concurrent workload).
+// identity — contents, cardinalities, SplitMix64 emission order — with a
+// from-scratch propagation without the actor, for every typology, thread
+// count, and scratch capacity. The reference is the scalar test oracle.
+// These suites run in the CI tsan job (the replay fan-out is the concurrent
+// workload).
 
 TEST(CounterfactualDeltaIdentity, TubesBitIdenticalToFromScratchAcrossTypologies) {
   const scenario::ScenarioFactory factory;
   for (scenario::Typology typology : scenario::kAllTypologies) {
     SCOPED_TRACE(std::string(scenario::typology_name(typology)));
-    const sim::World world = typology_world(factory, typology);
-    const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
+    const sim::World world = oracle::typology_world(factory, typology);
+    auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
+    // An enlarged twin of the first actor under a new id: it blocks alone on
+    // its fringe (so its counterfactual replays) and together with the first
+    // actor everywhere else — kMulti records the replay must keep rejecting.
+    ASSERT_FALSE(forecasts.empty());
+    core::ActorForecast twin = forecasts.front();
+    twin.id = 1000;
+    twin.dims = dynamics::Dimensions{twin.dims.length + 2.0, twin.dims.width + 1.0};
+    forecasts.push_back(twin);
+    const auto& map = world.map();
+    const auto& ego = world.ego().state;
 
-    const core::ReachTubeComputer rt;
-    const auto obstacles =
-        rt.sample_obstacles(forecasts, common::Seconds{world.time()});
-    const core::AttributedTube base =
-        rt.compute_attributed(world.map(), world.ego().state, obstacles);
+    const core::ReachTubeParams params;
+    const core::ReachTubeComputer rt(params);
+    const auto obstacles = rt.sample_obstacles(forecasts, common::Seconds{world.time()});
+    core::RiskSession session;
+    const core::AttributedTube base = rt.compute_attributed(session, map, ego, obstacles);
 
     // Attribution only records — the base tube is the plain tube.
-    expect_same_tube(rt.compute(world.map(), world.ego().state, obstacles), base.tube,
-                     0);
+    const core::ReachTube all = oracle::oracle_tube(map, ego, obstacles, params);
+    oracle::expect_same_tube(all, base.tube);
+    oracle::expect_same_tube(all, rt.compute(session, map, ego, obstacles));
 
     // |T^{∅}| by replay vs the from-scratch no-obstacles tube.
     core::CounterfactualStats empty_stats;
-    expect_same_tube(
-        rt.compute(world.map(), world.ego().state,
-                   std::span<const core::ObstacleTimeline>{}),
-        rt.compute_unblocked(world.map(), world.ego().state, obstacles, base,
-                             &empty_stats),
-        0);
+    oracle::expect_same_tube(
+        oracle::oracle_tube(map, ego, {}, params),
+        rt.compute_unblocked(session, map, ego, obstacles, base, &empty_stats));
 
-    // Every |T^{/i}| by replay vs from-scratch compute(..., exclude).
+    // Every |T^{/i}| by replay and by compute(..., exclude) vs from-scratch.
     for (std::size_t i = 0; i < forecasts.size(); ++i) {
       SCOPED_TRACE("actor_index=" + std::to_string(i));
+      const common::ActorId id{forecasts[i].id};
+      const core::ReachTube without = oracle::oracle_tube(map, ego, obstacles, params, id);
       core::CounterfactualStats stats;
-      expect_same_tube(
-          rt.compute(world.map(), world.ego().state, obstacles,
-                     common::ActorId{forecasts[i].id}),
-          rt.compute_counterfactual(world.map(), world.ego().state, obstacles, base, i,
-                                    &stats),
-          0);
+      oracle::expect_same_tube(
+          without, rt.compute_counterfactual(session, map, ego, obstacles, base, i, &stats));
+      oracle::expect_same_tube(without, rt.compute(session, map, ego, obstacles, id));
       // A free counterfactual must really have skipped re-expansion.
-      if (stats.free) EXPECT_EQ(stats.fresh_tests, 0u);
+      if (stats.free) {
+        EXPECT_EQ(stats.fresh_tests, 0u);
+      }
     }
   }
 }
 
 TEST(CounterfactualDeltaIdentity, StiMatchesScratchEngineAcrossThreadsAndReserves) {
+  // The reference is the oracle's from-scratch N+2 engine. Scratch capacity
+  // is set by what a session has already propagated, so besides a fresh
+  // session this runs on one whose hash grids and candidate buffers were
+  // first grown past the default reserve by uniform-sampling and no-dedup
+  // propagations — capacity must not perturb any result (DESIGN.md §9).
   const scenario::ScenarioFactory factory;
   for (scenario::Typology typology : scenario::kAllTypologies) {
     SCOPED_TRACE(std::string(scenario::typology_name(typology)));
-    const sim::World world = typology_world(factory, typology);
+    const sim::World world = oracle::typology_world(factory, typology);
     const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
+    const auto& map = world.map();
+    const auto& ego = world.ego().state;
+    const common::Seconds t0{world.time()};
+    const core::StiResult reference = oracle::oracle_sti(map, ego, t0, forecasts, {});
 
-    core::ReachTubeParams scratch_params;
-    scratch_params.delta_counterfactuals = false;
-    const core::StiCalculator scratch(scratch_params);
-    const core::StiResult reference = scratch.compute(
-        world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
-    const double reference_combined = scratch.combined(
-        world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
+    core::RiskSession fresh;
+    core::RiskSession grown;
+    core::ReachTubeParams uniform;
+    uniform.boundary_controls = false;
+    core::ReachTubeParams nodedup;
+    nodedup.dedup = false;
+    for (const core::ReachTubeParams& p : {uniform, nodedup}) {
+      const core::ReachTubeComputer rt(p);
+      (void)rt.compute(grown, map, ego, rt.sample_obstacles(forecasts, t0));
+    }
 
-    for (std::size_t reserve : kScratchReserves) {
+    for (core::RiskSession* session : {&fresh, &grown}) {
       for (int threads : {0, 2, 4}) {
+        SCOPED_TRACE(std::string(session == &grown ? "grown" : "fresh") +
+                     " session, num_threads=" + std::to_string(threads));
         core::ReachTubeParams params;
-        params.scratch_reserve = reserve;
         params.num_threads = threads;
         const core::StiCalculator delta(params);
-        SCOPED_TRACE("scratch_reserve=" + std::to_string(reserve));
-        expect_bit_identical(reference,
-                             delta.compute(world.map(), world.ego().state,
-                                           common::Seconds{world.time()}, forecasts),
-                             threads);
-        EXPECT_EQ(reference_combined,
-                  delta.combined(world.map(), world.ego().state,
-                                 common::Seconds{world.time()}, forecasts))
-            << "num_threads=" << threads << " scratch_reserve=" << reserve;
+        oracle::expect_bit_identical(reference,
+                                     delta.compute(*session, map, ego, t0, forecasts));
+        EXPECT_EQ(reference.combined, delta.combined(*session, map, ego, t0, forecasts));
       }
     }
   }
@@ -292,7 +218,8 @@ TEST(CounterfactualDeltaIdentity, StiMatchesScratchEngineAcrossThreadsAndReserve
 
 TEST(CounterfactualDeltaIdentity, ActorThatBlocksNothingIsFree) {
   const scenario::ScenarioFactory factory;
-  const sim::World world = typology_world(factory, scenario::Typology::kLeadSlowdown);
+  const sim::World world =
+      oracle::typology_world(factory, scenario::Typology::kLeadSlowdown);
   auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
 
   // A static actor far outside the ego's reachable disc: it can never reject
@@ -306,44 +233,60 @@ TEST(CounterfactualDeltaIdentity, ActorThatBlocksNothingIsFree) {
   forecasts.push_back(far_actor);
   const std::size_t far_index = forecasts.size() - 1;
 
-  const core::ReachTubeComputer rt;
+  const core::ReachTubeParams params;
+  const core::ReachTubeComputer rt(params);
   const auto obstacles = rt.sample_obstacles(forecasts, common::Seconds{world.time()});
+  core::RiskSession session;
   const core::AttributedTube base =
-      rt.compute_attributed(world.map(), world.ego().state, obstacles);
+      rt.compute_attributed(session, world.map(), world.ego().state, obstacles);
   ASSERT_TRUE(base.attribution.blocks_nothing(far_index));
 
   core::CounterfactualStats stats;
   const core::ReachTube cf = rt.compute_counterfactual(
-      world.map(), world.ego().state, obstacles, base, far_index, &stats);
+      session, world.map(), world.ego().state, obstacles, base, far_index, &stats);
   EXPECT_TRUE(stats.free);
   EXPECT_EQ(stats.fresh_tests, 0u);
   EXPECT_EQ(stats.memo_hits, 0u);
-  expect_same_tube(base.tube, cf, 0);
-  expect_same_tube(rt.compute(world.map(), world.ego().state, obstacles,
-                              common::ActorId{far_actor.id}),
-                   cf, 0);
+  oracle::expect_same_tube(base.tube, cf);
+  oracle::expect_same_tube(oracle::oracle_tube(world.map(), world.ego().state, obstacles,
+                                               params, common::ActorId{far_actor.id}),
+                           cf);
 }
 
 TEST(CounterfactualDeltaIdentity, MonitorAssessmentsUnchangedByEngine) {
-  // End-to-end invariance: risk levels and riskiest-actor attribution must
-  // not depend on which counterfactual engine the monitor's calculator uses.
+  // End-to-end invariance: the monitor's STI and riskiest-actor attribution
+  // must be exactly what the oracle's from-scratch engine computes for the
+  // same tick. The level is a function of the STI sequence, so matching STI
+  // pins it too.
   const scenario::ScenarioFactory factory;
-  core::RiskMonitorParams delta_params;  // delta_counterfactuals defaults true
-  core::RiskMonitorParams scratch_params;
-  scratch_params.tube.delta_counterfactuals = false;
-  core::RiskMonitor delta(delta_params);
-  core::RiskMonitor scratch(scratch_params);
+  const core::RiskMonitorParams params;
+  const core::RiskMonitor monitor(params);
+  core::RiskSession session;
+  const core::ReachTubeParams& tube = params.tube;
 
-  sim::World world = typology_world(factory, scenario::Typology::kGhostCutIn);
+  sim::World world = oracle::typology_world(factory, scenario::Typology::kGhostCutIn);
+  bool elevated_seen = false;
   for (int step = 0; step < 30; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
     world.step(dynamics::Control{0.0, 0.0});
-    const auto a = scratch.update(world);
-    const auto b = delta.update(world);
-    EXPECT_EQ(a.sti_combined, b.sti_combined) << "step " << step;
-    EXPECT_EQ(a.level, b.level) << "step " << step;
-    EXPECT_EQ(a.riskiest_actor, b.riskiest_actor) << "step " << step;
-    EXPECT_EQ(a.riskiest_sti, b.riskiest_sti) << "step " << step;
+    const auto a = monitor.update(session, world);
+    const auto forecasts = core::cvtr_forecasts(world, tube.horizon, tube.dt);
+    const core::StiResult reference = oracle::oracle_sti(
+        world.map(), world.ego().state, common::Seconds{world.time()}, forecasts, tube);
+    const auto riskiest = core::riskiest_actor_of(reference);
+    EXPECT_EQ(a.sti_combined, reference.combined);
+    // At kCaution and above the monitor ran the per-actor pass this tick.
+    if (a.level >= core::RiskLevel::kCaution) {
+      elevated_seen = true;
+      EXPECT_EQ(a.riskiest_actor.has_value(), riskiest.has_value());
+    }
+    if (a.riskiest_actor) {
+      ASSERT_TRUE(riskiest.has_value());
+      EXPECT_EQ(*a.riskiest_actor, riskiest->first);
+      EXPECT_EQ(a.riskiest_sti, riskiest->second);
+    }
   }
+  EXPECT_TRUE(elevated_seen) << "scenario never elevated: attribution went unchecked";
 }
 
 TEST(ParallelSti, NumThreadsValidation) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "common/rng.hpp"
 #include "dynamics/cvtr.hpp"
 #include "roadmap/straight_road.hpp"
@@ -23,6 +25,14 @@ dynamics::VehicleState ego_state(double x = 50.0, double y = 5.25, double speed 
   s.y = y;
   s.speed = speed;
   return s;
+}
+
+/// Forecast sampling + tube in one call, on a transient session.
+ReachTube tube_of(const ReachTubeComputer& rt, const roadmap::DrivableMap& map,
+                  const dynamics::VehicleState& ego,
+                  std::span<const ActorForecast> forecasts = {}) {
+  RiskSession session;
+  return rt.compute(session, map, ego, rt.sample_obstacles(forecasts, 0.0_s));
 }
 
 ActorForecast stationary_actor(int id, double x, double y) {
@@ -49,7 +59,7 @@ TEST(ReachTubeParams, Validated) {
 TEST(ReachTube, EmptyWorldHasPositiveVolume) {
   const ReachTubeComputer rt;
   const auto map = test_map();
-  const ReachTube tube = rt.compute(*map, ego_state(), 0.0_s, {});
+  const ReachTube tube = tube_of(rt, *map, ego_state());
   EXPECT_GT(tube.volume, 0.0);
   EXPECT_FALSE(tube.empty());
   // Slice 0 holds exactly the seed state.
@@ -64,9 +74,9 @@ TEST(ReachTube, VolumeGrowsWithHorizon) {
   ReachTubeParams p_long;
   p_long.horizon = 3.0;
   const double v_short =
-      ReachTubeComputer(p_short).compute(*map, ego_state(), 0.0_s, {}).volume;
+      tube_of(ReachTubeComputer(p_short), *map, ego_state()).volume;
   const double v_long =
-      ReachTubeComputer(p_long).compute(*map, ego_state(), 0.0_s, {}).volume;
+      tube_of(ReachTubeComputer(p_long), *map, ego_state()).volume;
   EXPECT_GT(v_long, v_short);
 }
 
@@ -84,10 +94,10 @@ TEST(ReachTube, ObstaclesShrinkVolumeStatistically) {
   double sum_with = 0.0;
   for (int trial = 0; trial < 40; ++trial) {
     const auto ego = ego_state(50.0, rng.uniform(2.0, 9.0), rng.uniform(2.0, 12.0));
-    const double v_empty = rt.compute(*map, ego, 0.0_s, {}).volume;
+    const double v_empty = tube_of(rt, *map, ego).volume;
     const std::vector<ActorForecast> forecasts = {
         stationary_actor(1, 50.0 + rng.uniform(-20.0, 40.0), rng.uniform(1.0, 10.0))};
-    const double v_with = rt.compute(*map, ego, 0.0_s, forecasts).volume;
+    const double v_with = tube_of(rt, *map, ego, forecasts).volume;
     sum_empty += v_empty;
     sum_with += v_with;
     ASSERT_LE(v_with, 1.25 * v_empty + 5.0);
@@ -99,12 +109,12 @@ TEST(ReachTube, BlockingWallReducesVolumeSubstantially) {
   const ReachTubeComputer rt;
   const auto map = test_map();
   const auto ego = ego_state();
-  const double v_empty = rt.compute(*map, ego, 0.0_s, {}).volume;
+  const double v_empty = tube_of(rt, *map, ego).volume;
   // Three stopped cars across all lanes 12 m ahead.
   const std::vector<ActorForecast> wall = {stationary_actor(1, 62.0, 1.75),
                                            stationary_actor(2, 62.0, 5.25),
                                            stationary_actor(3, 62.0, 8.75)};
-  const double v_blocked = rt.compute(*map, ego, 0.0_s, wall).volume;
+  const double v_blocked = tube_of(rt, *map, ego, wall).volume;
   EXPECT_LT(v_blocked, 0.55 * v_empty);
 }
 
@@ -112,9 +122,9 @@ TEST(ReachTube, FarAwayActorIsIrrelevant) {
   const ReachTubeComputer rt;
   const auto map = test_map();
   const auto ego = ego_state();
-  const double v_empty = rt.compute(*map, ego, 0.0_s, {}).volume;
+  const double v_empty = tube_of(rt, *map, ego).volume;
   const std::vector<ActorForecast> far = {stationary_actor(1, 400.0, 5.25)};
-  EXPECT_DOUBLE_EQ(rt.compute(*map, ego, 0.0_s, far).volume, v_empty);
+  EXPECT_DOUBLE_EQ(tube_of(rt, *map, ego, far).volume, v_empty);
 }
 
 TEST(ReachTube, CollidingSeedYieldsEmptyTube) {
@@ -122,7 +132,7 @@ TEST(ReachTube, CollidingSeedYieldsEmptyTube) {
   const auto map = test_map();
   const auto ego = ego_state(50.0, 5.25, 8.0);
   const std::vector<ActorForecast> overlapping = {stationary_actor(1, 51.0, 5.25)};
-  const ReachTube tube = rt.compute(*map, ego, 0.0_s, overlapping);
+  const ReachTube tube = tube_of(rt, *map, ego, overlapping);
   EXPECT_TRUE(tube.empty());
   EXPECT_DOUBLE_EQ(tube.volume, 0.0);
 }
@@ -130,7 +140,7 @@ TEST(ReachTube, CollidingSeedYieldsEmptyTube) {
 TEST(ReachTube, OffMapSeedYieldsEmptyTube) {
   const ReachTubeComputer rt;
   const auto map = test_map();
-  const ReachTube tube = rt.compute(*map, ego_state(50.0, 30.0, 8.0), 0.0_s, {});
+  const ReachTube tube = tube_of(rt, *map, ego_state(50.0, 30.0, 8.0));
   EXPECT_TRUE(tube.empty());
 }
 
@@ -140,11 +150,27 @@ TEST(ReachTube, ExcludeIdRemovesThatObstacle) {
   const auto ego = ego_state();
   const std::vector<ActorForecast> forecasts = {stationary_actor(7, 60.0, 5.25)};
   const auto obstacles = rt.sample_obstacles(forecasts, 0.0_s);
-  const double with = rt.compute(*map, ego, obstacles).volume;
-  const double without = rt.compute(*map, ego, obstacles, common::ActorId{7}).volume;
-  const double empty = rt.compute(*map, ego, {}, common::ActorId::none()).volume;
+  RiskSession session;
+  const double with = rt.compute(session, *map, ego, obstacles).volume;
+  const double without = rt.compute(session, *map, ego, obstacles, common::ActorId{7}).volume;
+  const double empty = rt.compute(session, *map, ego, {}, common::ActorId::none()).volume;
   EXPECT_LT(with, without);
   EXPECT_DOUBLE_EQ(without, empty);
+}
+
+TEST(ReachTube, CounterfactualIndexRangeChecked) {
+  // The replay reads per-obstacle attribution by index; an index past the
+  // obstacle list is rejected in every build, not just with DCHECKs on.
+  const ReachTubeComputer rt;
+  const auto map = test_map();
+  const std::vector<ActorForecast> forecasts = {stationary_actor(1, 60.0, 5.25)};
+  const auto obstacles = rt.sample_obstacles(forecasts, 0.0_s);
+  RiskSession session;
+  const AttributedTube base = rt.compute_attributed(session, *map, ego_state(), obstacles);
+  EXPECT_NO_THROW(rt.compute_counterfactual(session, *map, ego_state(), obstacles, base, 0));
+  EXPECT_THROW(rt.compute_counterfactual(session, *map, ego_state(), obstacles, base,
+                                         obstacles.size()),
+               std::invalid_argument);
 }
 
 TEST(ReachTube, ObstacleSliceCountValidated) {
@@ -157,7 +183,8 @@ TEST(ReachTube, ObstacleSliceCountValidated) {
   const auto map = test_map();
   const std::vector<ActorForecast> forecasts = {stationary_actor(1, 60.0, 5.25)};
   const auto obstacles = rt_a.sample_obstacles(forecasts, 0.0_s);
-  EXPECT_THROW(rt_b.compute(*map, ego_state(), obstacles), std::invalid_argument);
+  RiskSession session;
+  EXPECT_THROW(rt_b.compute(session, *map, ego_state(), obstacles), std::invalid_argument);
 }
 
 TEST(ReachTube, DedupBoundsSliceSizes) {
@@ -165,7 +192,7 @@ TEST(ReachTube, DedupBoundsSliceSizes) {
   p.dedup = true;
   const ReachTubeComputer rt(p);
   const auto map = test_map();
-  const ReachTube tube = rt.compute(*map, ego_state(), 0.0_s, {});
+  const ReachTube tube = tube_of(rt, *map, ego_state());
   // With (x, y) cell dedup, each slice cannot exceed the road's cell count
   // within the reachable window; sanity bound: far fewer than the
   // undeduped exponential count (9^slices).
@@ -183,9 +210,9 @@ TEST(ReachTube, UniformSamplingCoversBoundarySet) {
   uniform.uniform_samples = 24;
   const auto map = test_map();
   const double v_boundary =
-      ReachTubeComputer(boundary).compute(*map, ego_state(), 0.0_s, {}).volume;
+      tube_of(ReachTubeComputer(boundary), *map, ego_state()).volume;
   const double v_uniform =
-      ReachTubeComputer(uniform).compute(*map, ego_state(), 0.0_s, {}).volume;
+      tube_of(ReachTubeComputer(uniform), *map, ego_state()).volume;
   EXPECT_GE(v_uniform, v_boundary);
 }
 
@@ -196,9 +223,9 @@ TEST(ReachTube, PaperBoundarySetExcludesBraking) {
   paper.include_braking_boundary = false;
   const auto map = test_map();
   const double v_full =
-      ReachTubeComputer(with_braking).compute(*map, ego_state(), 0.0_s, {}).volume;
+      tube_of(ReachTubeComputer(with_braking), *map, ego_state()).volume;
   const double v_paper =
-      ReachTubeComputer(paper).compute(*map, ego_state(), 0.0_s, {}).volume;
+      tube_of(ReachTubeComputer(paper), *map, ego_state()).volume;
   // The braking-free set reaches fewer near cells.
   EXPECT_LE(v_paper, v_full);
   EXPECT_GT(v_paper, 0.0);
@@ -208,8 +235,8 @@ TEST(ReachTube, DeterministicAcrossCalls) {
   const ReachTubeComputer rt;
   const auto map = test_map();
   const std::vector<ActorForecast> forecasts = {stationary_actor(1, 65.0, 5.25)};
-  const double v1 = rt.compute(*map, ego_state(), 0.0_s, forecasts).volume;
-  const double v2 = rt.compute(*map, ego_state(), 0.0_s, forecasts).volume;
+  const double v1 = tube_of(rt, *map, ego_state(), forecasts).volume;
+  const double v2 = tube_of(rt, *map, ego_state(), forecasts).volume;
   EXPECT_DOUBLE_EQ(v1, v2);
 }
 

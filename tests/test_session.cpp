@@ -5,11 +5,11 @@
 // executable form of that contract:
 //
 //  * SessionIdentity — a session reused across ticks is bit-identical to a
-//    fresh session per tick and to the legacy session-less API, across every
-//    scenario typology, dedup mode, thread count, and counterfactual engine.
+//    fresh session per tick and to the from-scratch test oracle
+//    (tests/oracle.hpp), across every scenario typology, dedup mode, and
+//    thread count.
 //  * SessionMonitor — the monitor's mutable state (level, quiet streak,
-//    update count) lives in the session: external sessions track the legacy
-//    owned-session API exactly, reset() forgets, moves preserve.
+//    update count) lives in the session: reset() forgets, moves preserve.
 //  * SharedPool — M calculators share the one process-wide pool instead of
 //    spawning M pools (the "M pools" fix).
 //  * SessionPool — M sessions drive one const engine concurrently over the
@@ -28,6 +28,7 @@
 #include "core/session.hpp"
 #include "core/sti.hpp"
 #include "dynamics/cvtr.hpp"
+#include "oracle.hpp"
 #include "roadmap/straight_road.hpp"
 #include "scenario/factory.hpp"
 #include "sim/world.hpp"
@@ -35,77 +36,48 @@
 namespace iprism {
 namespace {
 
-/// Builds a mid-episode world for a typology (stepped so the threat is live).
-sim::World typology_world(const scenario::ScenarioFactory& factory,
-                          scenario::Typology typology) {
-  common::Rng rng(7);
-  const auto spec = factory.sample(typology, 0, rng);
-  sim::World world = factory.build(spec);
-  for (int i = 0; i < 20; ++i) world.step(dynamics::Control{0.0, 0.0});
-  return world;
-}
-
-void expect_bit_identical(const core::StiResult& a, const core::StiResult& b) {
-  // Exact == on purpose: the guarantee is bit-identity, not closeness.
-  EXPECT_EQ(a.combined, b.combined);
-  EXPECT_EQ(a.volume_all, b.volume_all);
-  EXPECT_EQ(a.volume_empty, b.volume_empty);
-  ASSERT_EQ(a.per_actor.size(), b.per_actor.size());
-  for (std::size_t i = 0; i < a.per_actor.size(); ++i) {
-    EXPECT_EQ(a.per_actor[i].first, b.per_actor[i].first);
-    EXPECT_EQ(a.per_actor[i].second, b.per_actor[i].second);
-  }
-}
-
 // --- SessionIdentity -------------------------------------------------------
 
 TEST(SessionIdentity, ReusedSessionBitIdenticalToFreshAcrossMatrix) {
-  // The full knob matrix: typology x dedup x threads x counterfactual
-  // engine. One session reused for all three ticks of a combo must match a
-  // fresh session per tick AND the legacy session-less API — any divergence
-  // means scratch state leaked into a result.
+  // The full knob matrix: typology x dedup x threads. One session per thread
+  // count, reused for all three ticks, must match a fresh session per tick
+  // AND the oracle — any divergence means scratch state leaked into a result.
   const scenario::ScenarioFactory factory;
   for (scenario::Typology typology : scenario::kAllTypologies) {
     SCOPED_TRACE(std::string(scenario::typology_name(typology)));
     for (bool dedup : {true, false}) {
-      for (int threads : {0, 2, 4}) {
-        for (bool delta : {true, false}) {
-          SCOPED_TRACE("dedup=" + std::to_string(dedup) +
-                       " threads=" + std::to_string(threads) +
-                       " delta=" + std::to_string(delta));
-          core::ReachTubeParams params;
-          params.dedup = dedup;
+      SCOPED_TRACE("dedup=" + std::to_string(dedup));
+      core::ReachTubeParams params;
+      params.dedup = dedup;
+      core::RiskSession reused[3];
+      sim::World world = oracle::typology_world(factory, typology);
+      for (int tick = 0; tick < 3; ++tick) {
+        SCOPED_TRACE("tick=" + std::to_string(tick));
+        const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
+        const common::Seconds t0{world.time()};
+        const core::StiResult reference =
+            oracle::oracle_sti(world.map(), world.ego().state, t0, forecasts, params);
+        int k = 0;
+        for (int threads : {0, 2, 4}) {
+          SCOPED_TRACE("threads=" + std::to_string(threads));
           params.num_threads = threads;
-          params.delta_counterfactuals = delta;
           const core::StiCalculator sti(params);
-
-          sim::World world = typology_world(factory, typology);
-          core::RiskSession reused;
-          for (int tick = 0; tick < 3; ++tick) {
-            SCOPED_TRACE("tick=" + std::to_string(tick));
-            const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
-            const core::StiResult warm =
-                sti.compute(reused, world.map(), world.ego().state,
-                            common::Seconds{world.time()}, forecasts);
-            core::RiskSession fresh;
-            expect_bit_identical(warm,
-                                 sti.compute(fresh, world.map(), world.ego().state,
-                                             common::Seconds{world.time()}, forecasts));
-            expect_bit_identical(warm,
-                                 sti.compute(world.map(), world.ego().state,
-                                             common::Seconds{world.time()}, forecasts));
-            world.step(dynamics::Control{0.0, 0.0});
-          }
+          core::RiskSession fresh;
+          oracle::expect_bit_identical(
+              reference, sti.compute(reused[k++], world.map(), world.ego().state, t0, forecasts));
+          oracle::expect_bit_identical(
+              reference, sti.compute(fresh, world.map(), world.ego().state, t0, forecasts));
         }
+        world.step(dynamics::Control{0.0, 0.0});
       }
     }
   }
 }
 
 TEST(SessionIdentity, CombinedMatchesAcrossSessionReuse) {
-  // Same contract for the two-tube combined() fast path.
+  // Same contract for the combined() fast path.
   const scenario::ScenarioFactory factory;
-  sim::World world = typology_world(factory, scenario::Typology::kGhostCutIn);
+  sim::World world = oracle::typology_world(factory, scenario::Typology::kGhostCutIn);
   core::ReachTubeParams params;
   params.num_threads = 2;
   const core::StiCalculator sti(params);
@@ -113,10 +85,9 @@ TEST(SessionIdentity, CombinedMatchesAcrossSessionReuse) {
   for (int tick = 0; tick < 5; ++tick) {
     SCOPED_TRACE("tick=" + std::to_string(tick));
     const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
-    const double warm = sti.combined(reused, world.map(), world.ego().state,
-                                     common::Seconds{world.time()}, forecasts);
-    EXPECT_EQ(warm, sti.combined(world.map(), world.ego().state,
-                                 common::Seconds{world.time()}, forecasts));
+    const common::Seconds t0{world.time()};
+    EXPECT_EQ(oracle::oracle_sti(world.map(), world.ego().state, t0, forecasts, {}).combined,
+              sti.combined(reused, world.map(), world.ego().state, t0, forecasts));
     world.step(dynamics::Control{0.0, 0.0});
   }
 }
@@ -155,37 +126,6 @@ sim::World empty_world() {
   return w;
 }
 
-TEST(SessionMonitor, ExternalSessionMatchesLegacyOwnedSession) {
-  // One const engine, one external session vs the legacy mutable API: the
-  // full level trajectory — escalation, hysteresis hold, de-escalation —
-  // must evolve identically because ALL of it lives in the session.
-  const core::RiskMonitor engine;     // const-callable with external sessions
-  core::RiskMonitor legacy;           // legacy: owns its session
-  core::RiskSession session;
-
-  auto threat = threat_world(6.0);
-  auto quiet = empty_world();
-  for (int step = 0; step < 8; ++step) {
-    const auto a = engine.update(session, threat);
-    const auto b = legacy.update(threat);
-    EXPECT_EQ(a.sti_combined, b.sti_combined) << "threat step " << step;
-    EXPECT_EQ(a.level, b.level) << "threat step " << step;
-    EXPECT_EQ(a.riskiest_actor, b.riskiest_actor) << "threat step " << step;
-    EXPECT_EQ(session.level(), legacy.level()) << "threat step " << step;
-  }
-  EXPECT_GE(session.level(), core::RiskLevel::kCaution);
-  for (int step = 0; step < 30; ++step) {
-    const auto a = engine.update(session, quiet);
-    const auto b = legacy.update(quiet);
-    EXPECT_EQ(a.level, b.level) << "quiet step " << step;
-    EXPECT_EQ(session.level(), legacy.level()) << "quiet step " << step;
-  }
-  // The quiet streak must have de-escalated both in lockstep all the way.
-  EXPECT_EQ(session.level(), core::RiskLevel::kSafe);
-  EXPECT_EQ(session.updates(), legacy.updates());
-  EXPECT_EQ(session.updates(), 8 + 30);
-}
-
 TEST(SessionMonitor, ResetForgetsLevelStreakAndCount) {
   const core::RiskMonitor engine;
   core::RiskSession session;
@@ -208,16 +148,6 @@ TEST(SessionMonitor, ResetForgetsLevelStreakAndCount) {
     EXPECT_EQ(a.level, b.level) << "step " << step;
   }
   EXPECT_EQ(session.updates(), fresh.updates());
-}
-
-TEST(SessionMonitor, LegacyResetDelegatesToOwnedSession) {
-  core::RiskMonitor monitor;
-  auto threat = threat_world(6.0);
-  monitor.update(threat);
-  ASSERT_GE(monitor.level(), core::RiskLevel::kCaution);
-  monitor.reset();
-  EXPECT_EQ(monitor.level(), core::RiskLevel::kSafe);
-  EXPECT_EQ(monitor.updates(), 0);
 }
 
 TEST(SessionMonitor, MovePreservesSessionState) {
@@ -337,20 +267,20 @@ TEST(SessionPool, OneSessionsScratchPoolServesItsOwnFanOut) {
   // leases its own scratch from the session's mutex-guarded pool. Repeat the
   // evaluation so leases recycle; results must be stable run over run.
   const scenario::ScenarioFactory factory;
-  const sim::World world = typology_world(factory, scenario::Typology::kLeadCutIn);
+  const sim::World world = oracle::typology_world(factory, scenario::Typology::kLeadCutIn);
   const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
   core::ReachTubeParams params;
   params.num_threads = 4;
   const core::StiCalculator sti(params);
 
+  const common::Seconds t0{world.time()};
+  const core::StiResult reference =
+      oracle::oracle_sti(world.map(), world.ego().state, t0, forecasts, params);
   core::RiskSession session;
-  const core::StiResult first = sti.compute(session, world.map(), world.ego().state,
-                                            common::Seconds{world.time()}, forecasts);
-  for (int run = 0; run < 5; ++run) {
+  for (int run = 0; run < 6; ++run) {
     SCOPED_TRACE("run=" + std::to_string(run));
-    expect_bit_identical(first,
-                         sti.compute(session, world.map(), world.ego().state,
-                                     common::Seconds{world.time()}, forecasts));
+    oracle::expect_bit_identical(
+        reference, sti.compute(session, world.map(), world.ego().state, t0, forecasts));
   }
 }
 

@@ -37,8 +37,9 @@ ActorForecast actor(int id, double x, double y, double speed, double heading = 0
 
 TEST(Sti, NoActorsMeansZeroRisk) {
   const StiCalculator sti;
+  RiskSession session;
   const auto map = test_map();
-  const StiResult r = sti.compute(*map, ego_state(), 0.0_s, {});
+  const StiResult r = sti.compute(session, *map, ego_state(), 0.0_s, {});
   EXPECT_DOUBLE_EQ(r.combined, 0.0);
   EXPECT_TRUE(r.per_actor.empty());
   EXPECT_DOUBLE_EQ(r.volume_all, r.volume_empty);
@@ -46,9 +47,10 @@ TEST(Sti, NoActorsMeansZeroRisk) {
 
 TEST(Sti, StoppedLeadImposesRisk) {
   const StiCalculator sti;
+  RiskSession session;
   const auto map = test_map();
   const std::vector<ActorForecast> forecasts = {actor(1, 62.0, 5.25, 0.0)};
-  const StiResult r = sti.compute(*map, ego_state(), 0.0_s, forecasts);
+  const StiResult r = sti.compute(session, *map, ego_state(), 0.0_s, forecasts);
   EXPECT_GT(r.combined, 0.05);
   ASSERT_EQ(r.per_actor.size(), 1u);
   EXPECT_EQ(r.per_actor[0].first, 1);
@@ -59,41 +61,46 @@ TEST(Sti, SingleActorCounterfactualMatchesCombined) {
   // With exactly one actor, removing it recovers the empty tube, so
   // STI_actor == STI_combined (Eqs. 4 and 5 coincide).
   const StiCalculator sti;
+  RiskSession session;
   const auto map = test_map();
   const std::vector<ActorForecast> forecasts = {actor(1, 64.0, 5.25, 2.0)};
-  const StiResult r = sti.compute(*map, ego_state(), 0.0_s, forecasts);
+  const StiResult r = sti.compute(session, *map, ego_state(), 0.0_s, forecasts);
   EXPECT_NEAR(r.per_actor[0].second, r.combined, 1e-12);
 }
 
 TEST(Sti, ActorBehindOnOtherLaneIsZero) {
   const StiCalculator sti;
+  RiskSession session;
   const auto map = test_map();
   const std::vector<ActorForecast> forecasts = {actor(1, 10.0, 1.75, 3.0)};
-  const StiResult r = sti.compute(*map, ego_state(), 0.0_s, forecasts);
+  const StiResult r = sti.compute(session, *map, ego_state(), 0.0_s, forecasts);
   EXPECT_DOUBLE_EQ(r.combined, 0.0);
   EXPECT_DOUBLE_EQ(r.per_actor[0].second, 0.0);
 }
 
 TEST(Sti, FullBlockadeApproachesOne) {
   const StiCalculator sti;
+  RiskSession session;
   const auto map = test_map();
   // Stopped wall directly ahead across all three lanes, ego fast.
   const std::vector<ActorForecast> wall = {
       actor(1, 58.0, 1.75, 0.0), actor(2, 58.0, 5.25, 0.0), actor(3, 58.0, 8.75, 0.0)};
-  const StiResult r = sti.compute(*map, ego_state(50.0, 5.25, 14.0), 0.0_s, wall);
+  const StiResult r = sti.compute(session, *map, ego_state(50.0, 5.25, 14.0), 0.0_s, wall);
   EXPECT_GT(r.combined, 0.6);
 }
 
 TEST(Sti, CollisionStateIsMaximalRisk) {
   const StiCalculator sti;
+  RiskSession session;
   const auto map = test_map();
   const std::vector<ActorForecast> overlapping = {actor(1, 52.0, 5.25, 0.0)};
-  const StiResult r = sti.compute(*map, ego_state(), 0.0_s, overlapping);
+  const StiResult r = sti.compute(session, *map, ego_state(), 0.0_s, overlapping);
   EXPECT_DOUBLE_EQ(r.combined, 1.0);
 }
 
 TEST(Sti, ValuesAlwaysInUnitRangeProperty) {
   const StiCalculator sti;
+  RiskSession session;
   const auto map = test_map();
   common::Rng rng(11);
   for (int trial = 0; trial < 20; ++trial) {
@@ -105,7 +112,7 @@ TEST(Sti, ValuesAlwaysInUnitRangeProperty) {
                                 rng.uniform(-0.3, 0.3)));
     }
     const auto ego = ego_state(50.0, rng.uniform(2.0, 9.0), rng.uniform(0.0, 14.0));
-    const StiResult r = sti.compute(*map, ego, 0.0_s, forecasts);
+    const StiResult r = sti.compute(session, *map, ego, 0.0_s, forecasts);
     ASSERT_GE(r.combined, 0.0);
     ASSERT_LE(r.combined, 1.0);
     for (const auto& [id, v] : r.per_actor) {
@@ -117,19 +124,21 @@ TEST(Sti, ValuesAlwaysInUnitRangeProperty) {
 
 TEST(Sti, CombinedOnlyAgreesWithFullComputation) {
   const StiCalculator sti;
+  RiskSession session;
   const auto map = test_map();
   const std::vector<ActorForecast> forecasts = {actor(1, 62.0, 5.25, 0.0),
                                                 actor(2, 70.0, 1.75, 4.0)};
-  const StiResult full = sti.compute(*map, ego_state(), 0.0_s, forecasts);
-  const double fast = sti.combined(*map, ego_state(), 0.0_s, forecasts);
+  const StiResult full = sti.compute(session, *map, ego_state(), 0.0_s, forecasts);
+  const double fast = sti.combined(session, *map, ego_state(), 0.0_s, forecasts);
   EXPECT_DOUBLE_EQ(full.combined, fast);
 }
 
 TEST(Sti, OffRoadEgoReportsZeroSafely) {
   const StiCalculator sti;
+  RiskSession session;
   const auto map = test_map();
   const std::vector<ActorForecast> forecasts = {actor(1, 62.0, 5.25, 0.0)};
-  const StiResult r = sti.compute(*map, ego_state(50.0, 40.0, 8.0), 0.0_s, forecasts);
+  const StiResult r = sti.compute(session, *map, ego_state(50.0, 40.0, 8.0), 0.0_s, forecasts);
   EXPECT_DOUBLE_EQ(r.combined, 0.0);  // |T^null| == 0: undefined -> 0, no throw
   EXPECT_DOUBLE_EQ(r.volume_empty, 0.0);
 }
@@ -145,10 +154,11 @@ TEST(Sti, SymmetricThreatsScoreEqually) {
   // Two actors mirrored about the ego lane centre must receive identical
   // STI (the tube and the counterfactuals are symmetric).
   const StiCalculator sti;
+  RiskSession session;
   const auto map = test_map();
   const std::vector<ActorForecast> pair = {actor(1, 62.0, 5.25 - 3.5, 2.0),
                                            actor(2, 62.0, 5.25 + 3.5, 2.0)};
-  const StiResult r = sti.compute(*map, ego_state(), 0.0_s, pair);
+  const StiResult r = sti.compute(session, *map, ego_state(), 0.0_s, pair);
   ASSERT_EQ(r.per_actor.size(), 2u);
   EXPECT_NEAR(r.per_actor[0].second, r.per_actor[1].second, 0.03);
 }
@@ -157,6 +167,7 @@ TEST(Sti, CombinedAtLeastAsLargeAsBestActor) {
   // Removing *all* actors frees at least as much tube volume as removing
   // any single one, so combined >= max per-actor (up to sampling noise).
   const StiCalculator sti;
+  RiskSession session;
   const auto map = test_map();
   common::Rng rng(21);
   for (int trial = 0; trial < 10; ++trial) {
@@ -165,19 +176,53 @@ TEST(Sti, CombinedAtLeastAsLargeAsBestActor) {
       forecasts.push_back(actor(i, 50.0 + rng.uniform(5.0, 30.0),
                                 rng.uniform(1.5, 9.0), rng.uniform(0.0, 6.0)));
     }
-    const StiResult r = sti.compute(*map, ego_state(), 0.0_s, forecasts);
+    const StiResult r = sti.compute(session, *map, ego_state(), 0.0_s, forecasts);
     ASSERT_GE(r.combined, r.max_actor_sti() - 0.05);
   }
 }
 
 TEST(Sti, NearerThreatScoresHigher) {
   const StiCalculator sti;
+  RiskSession session;
   const auto map = test_map();
   const std::vector<ActorForecast> near_f = {actor(1, 60.0, 5.25, 0.0)};
   const std::vector<ActorForecast> far_f = {actor(1, 80.0, 5.25, 0.0)};
-  const auto near_r = sti.compute(*map, ego_state(), 0.0_s, near_f);
-  const auto far_r = sti.compute(*map, ego_state(), 0.0_s, far_f);
+  const auto near_r = sti.compute(session, *map, ego_state(), 0.0_s, near_f);
+  const auto far_r = sti.compute(session, *map, ego_state(), 0.0_s, far_f);
   EXPECT_GT(near_r.combined, far_r.combined);
+}
+
+TEST(Sti, DuplicateValidActorIdsRejected) {
+  // Eq. 4 removes actor i; the engine removes obstacle index i. The two
+  // agree only when each valid id appears once, so a repeat is rejected at
+  // the boundary by both entry points.
+  const StiCalculator sti;
+  RiskSession session;
+  const auto map = test_map();
+  const std::vector<ActorForecast> twins = {actor(4, 62.0, 5.25, 0.0),
+                                            actor(4, 70.0, 1.75, 4.0)};
+  EXPECT_THROW(sti.compute(session, *map, ego_state(), 0.0_s, twins), std::invalid_argument);
+  EXPECT_THROW(sti.combined(session, *map, ego_state(), 0.0_s, twins), std::invalid_argument);
+}
+
+TEST(Sti, RepeatedAnonymousActorsAcceptedWithZeroSti) {
+  // ActorId::none() may repeat: an anonymous actor cannot be excluded, so
+  // its counterfactual is the full tube and its STI is 0 — while it still
+  // counts toward the combined value.
+  const StiCalculator sti;
+  RiskSession session;
+  const auto map = test_map();
+  const int anonymous = common::ActorId::none().value();
+  const std::vector<ActorForecast> forecasts = {actor(anonymous, 62.0, 5.25, 0.0),
+                                                actor(anonymous, 62.0, 1.75, 0.0),
+                                                actor(3, 62.0, 8.75, 0.0)};
+  const StiResult r = sti.compute(session, *map, ego_state(), 0.0_s, forecasts);
+  ASSERT_EQ(r.per_actor.size(), 3u);
+  EXPECT_EQ(r.per_actor[0], std::make_pair(anonymous, 0.0));
+  EXPECT_EQ(r.per_actor[1], std::make_pair(anonymous, 0.0));
+  EXPECT_EQ(r.per_actor[2].first, 3);
+  EXPECT_GT(r.combined, 0.05);
+  EXPECT_EQ(r.combined, sti.combined(session, *map, ego_state(), 0.0_s, forecasts));
 }
 
 }  // namespace

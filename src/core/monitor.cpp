@@ -52,11 +52,11 @@ RiskMonitor::Assessment RiskMonitor::update(RiskSession& session,
 
   // Already elevated: the per-actor attribution is wanted every tick, so go
   // straight to the full per-actor compute (one attributed propagation plus
-  // N+1 memoized replays, DESIGN.md §12). At kSafe, run the cheap combined()
-  // first — one attributed tube plus at most one |T^{∅}| replay; steady-state
-  // safe ticks never pay for per-actor counterfactuals — and decide
-  // attribution from the *implied* level of the STI it returns (below), not
-  // from the stale pre-update level_.
+  // up to N+1 resumed replays, DESIGN.md §12). At kSafe, run the cheap
+  // combined() first — one attributed tube plus at most one |T^{∅}| replay;
+  // steady-state safe ticks never pay for per-actor counterfactuals — and
+  // decide attribution from the *implied* level of the STI it returns
+  // (below), not from the stale pre-update level_.
   std::optional<StiResult> full;
   if (may_attribute && st.level >= RiskLevel::kCaution) {
     IPRISM_COUNT("monitor.attribution_runs");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/check.hpp"
 #include "common/flat_hash.hpp"
@@ -34,32 +33,6 @@ std::uint64_t xy_key(double x, double y, double inv_cell) {
   const auto iy = static_cast<std::uint64_t>(
       static_cast<std::int64_t>(std::floor(y * inv_cell)) + (1LL << 30));
   return (ix << 32) | (iy & 0xFFFFFFFFULL);
-}
-
-static_assert(sizeof(dynamics::VehicleState) == 4 * sizeof(double),
-              "VehicleState must stay four packed doubles: the blocked-by "
-              "memo matches replayed candidates by raw state bits");
-
-/// Hash of a state's exact bit pattern — the blocked-by memo key. Two runs
-/// testing the same candidate produce identical doubles (the propagation is
-/// deterministic), so bit hashing is exact; a hash collision between
-/// *different* states is caught by bits_equal below and degrades to a memo
-/// miss, never to a wrong answer.
-std::uint64_t state_bits_key(const dynamics::VehicleState& s) {
-  const auto bits = [](double d) {
-    std::uint64_t u;
-    std::memcpy(&u, &d, sizeof(u));
-    return u;
-  };
-  std::uint64_t h = common::splitmix64_mix(bits(s.x));
-  h = common::splitmix64_mix(h ^ bits(s.y));
-  h = common::splitmix64_mix(h ^ bits(s.heading));
-  h = common::splitmix64_mix(h ^ bits(s.speed));
-  return h;
-}
-
-bool bits_equal(const dynamics::VehicleState& a, const dynamics::VehicleState& b) {
-  return std::memcmp(&a, &b, sizeof(a)) == 0;
 }
 
 }  // namespace
@@ -143,7 +116,6 @@ BlockRecord ReachTubeComputer::classify_state(const roadmap::DrivableMap& map,
                                               common::SliceIdx slice_idx) const {
   const std::size_t slice = slice_idx.value();
   BlockRecord rec;
-  rec.state = s;
   const geom::OrientedBox ego_box = dynamics::footprint(s, params_.ego_dims);
   if (!map.contains_box(ego_box, params_.map_margin)) {
     rec.cls = BlockerClass::kOffMap;
@@ -179,6 +151,9 @@ void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
                                   OnSliceDone&& on_slice_done) const {
   [[maybe_unused]] std::size_t slices_processed = 0;
   [[maybe_unused]] std::size_t states_expanded = 0;
+  // The grid's rehash count is a lifetime total and pooled scratch outlives
+  // propagations: report only this propagation's rehashes.
+  [[maybe_unused]] const std::size_t rehashes_before = scratch.cells.rehash_count();
 
   auto& cells = scratch.cells;
   auto& occupied = scratch.occupied;
@@ -367,7 +342,8 @@ void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
 
   IPRISM_COUNT_ADD("reachtube.slices", slices_processed);
   IPRISM_COUNT_ADD("reachtube.states_expanded", states_expanded);
-  IPRISM_COUNT_ADD("reachtube.scratch_rehashes", scratch.cells.rehash_count());
+  IPRISM_COUNT_ADD("reachtube.scratch_rehashes",
+                   scratch.cells.rehash_count() - rehashes_before);
 }
 
 void ReachTubeComputer::build_active_set(std::span<const ObstacleTimeline> obstacles,
@@ -587,11 +563,7 @@ AttributedTube ReachTubeComputer::compute_attributed(
   // Appends one record and maintains the divergence bookkeeping. Slices are
   // processed in increasing order, so "first" assignments are plain min's.
   auto record = [&](const BlockRecord& rec, std::size_t slice) {
-    SliceAttribution& sa = attr.slices[slice];
-    const auto idx = static_cast<std::uint32_t>(sa.tests.size());
-    sa.tests.push_back(rec);
-    auto [slot, inserted] = sa.by_state.insert(state_bits_key(rec.state));
-    if (inserted) *slot = idx;  // first record wins; replay verifies the bits
+    attr.slices[slice].tests.push_back(rec);
     if (rec.cls == BlockerClass::kSole || rec.cls == BlockerClass::kMulti) {
       ++attr.blocked_frontier;
       const auto s32 = static_cast<std::uint32_t>(slice);
@@ -623,14 +595,13 @@ AttributedTube ReachTubeComputer::compute_attributed(
       scratch, tube, volume_cells, rng, 0,
       [&](common::SliceIdx si) { load_active_set(attr, scratch, si.value()); },
       [&](common::SliceIdx si) { analyze_lanes(obstacles, scratch, si, /*max_hits=*/2); },
-      [&](std::size_t lane, const dynamics::VehicleState& ns, common::SliceIdx si) {
+      [&](std::size_t lane, const dynamics::VehicleState&, common::SliceIdx si) {
         // classify_state over the analyzed block: off-map wins outright (no
         // actor removal rescues it); otherwise the saturating hit count
         // separates kPassed / kSole / kMulti, with first_hit as the sole
         // blocker — the same outcome the scalar two-hit scan produces.
         const auto& lanes = scratch.lanes;
         BlockRecord rec;
-        rec.state = ns;
         if (!map.contains_box_geom(
                 {lanes.nx[lane], lanes.ny[lane]}, half_len, half_wid,
                 {lanes.ax[lane], lanes.ay[lane]},
@@ -705,24 +676,10 @@ ReachTube ReachTubeComputer::replay_counterfactual(
     scratch.excluded[exclude_index] = 1;
   }
 
-  // Memoized state test: identical candidates take their answer from the
-  // base record (converted for the lifted blockers — exact, see §12); delta
-  // candidates the base never tested fall through to real geometry.
-  auto test = [&](const dynamics::VehicleState& ns, common::SliceIdx si) {
-    const SliceAttribution& sa = attr.slices[si.value()];
-    if (const std::uint32_t* ti = sa.by_state.find(state_bits_key(ns))) {
-      const BlockRecord& rec = sa.tests[*ti];
-      if (bits_equal(rec.state, ns)) {
-        ++st.memo_hits;
-        switch (rec.cls) {
-          case BlockerClass::kPassed: return true;   // removal cannot fail it
-          case BlockerClass::kOffMap: return false;  // no removal rescues it
-          case BlockerClass::kSole:
-            return exclude_all || rec.sole_blocker == exclude_index;
-          case BlockerClass::kMulti: return exclude_all;
-        }
-      }
-    }
+  // Every candidate is re-tested against this replay's active set: the
+  // base's slice-j active set minus the excluded indices, which is exactly
+  // what a from-scratch propagation without them would build.
+  auto passes = [&](const dynamics::VehicleState& ns, common::SliceIdx si) {
     ++st.fresh_tests;
     return classify_state(map, ns, obstacles, scratch.active, si).cls ==
            BlockerClass::kPassed;
@@ -733,9 +690,9 @@ ReachTube ReachTubeComputer::replay_counterfactual(
   int first_loop = 0;
   if (jstar == 0) {
     // The seed itself was blocker-rejected in the base run; the replay
-    // starts from scratch (memo still answers the shared candidates).
+    // starts from scratch.
     load_active_set(attr, scratch, 0);
-    if (!test(ego, common::SliceIdx{0})) return tube;
+    if (!passes(ego, common::SliceIdx{0})) return tube;
     tube.slices[0].push_back(ego);
     volume_cells = 1;
   } else {
@@ -747,18 +704,19 @@ ReachTube ReachTubeComputer::replay_counterfactual(
     rng = attr.rng_at_loop[jstar - 1];
     first_loop = static_cast<int>(jstar) - 1;
   }
-  // Replays share the batch step/key stages but skip the geometry analysis:
-  // `test` answers from the memo (or falls back to the scalar classify_state
-  // for delta candidates the base never tested), reading nothing from the
-  // analyzed lane outcomes. The active set is the base run's, filtered
-  // through this replay's exclusions while loading — identical to rebuilding
-  // it, since the disc test never depended on exclusions.
+  // Replays share the batch step/key stages but skip the batched geometry:
+  // the decision pass consults only lanes that open a cell or improve a
+  // representative, so testing just those with the scalar classify_state
+  // beats analyzing every queued lane (DESIGN.md §12). The active set is the
+  // base run's, filtered through this replay's exclusions while loading —
+  // identical to rebuilding it, since the disc test never depended on
+  // exclusions.
   propagate(
       scratch, tube, volume_cells, rng, first_loop,
       [&](common::SliceIdx si) { load_active_set(attr, scratch, si.value()); },
       [](common::SliceIdx) {},
       [&](std::size_t, const dynamics::VehicleState& ns, common::SliceIdx si) {
-        return test(ns, si);
+        return passes(ns, si);
       },
       [](int) {}, [](int, std::size_t) {});
 

@@ -27,7 +27,6 @@
 #include <span>
 #include <vector>
 
-#include "common/flat_hash.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "core/scene.hpp"
@@ -99,17 +98,17 @@ struct ReachTube {
 // --- Blocked-by attribution (DESIGN.md §12) --------------------------------
 //
 // The N+2 tubes of one STI evaluation share almost their whole wavefront:
-// |T^{-i}| differs from |T| only downstream of candidates that actor i alone
-// rejected. An *attributed* base propagation records, for every candidate
-// it tested, who (if anyone) rejected it; each counterfactual is then
-// produced by *memoized replay* — the slices before actor i's first sole
+// |T^{-i}| differs from |T| only from the first slice where actor i alone
+// rejected a candidate. An *attributed* base propagation records, for every
+// candidate it tested, who (if anyone) rejected it; each counterfactual is
+// then produced by *resumed replay* — the slices before actor i's first sole
 // rejection are copied verbatim, and from there the propagation loop re-runs
-// with collision geometry answered from the record. Fresh geometry runs only
-// on the delta wavefront, and an actor that rejected nothing gets
-// |T^{-i}| ≡ |T| without any re-expansion. Replay executes the exact
-// propagation loop, so results are bit-identical (contents, cardinalities,
-// SplitMix64 emission order — the §9 contract) to a from-scratch propagation
-// without actor i (checked against the scalar test oracle, tests/oracle.hpp).
+// with every candidate re-tested against the exclusion-filtered obstacle set.
+// An actor that rejected nothing alone gets |T^{-i}| ≡ |T| without any
+// re-expansion. A replay is the from-scratch loop resumed at its divergence
+// slice, so results are bit-identical (contents, cardinalities, SplitMix64
+// emission order — the §9 contract) to a from-scratch propagation without
+// actor i (checked against the scalar test oracle, tests/oracle.hpp).
 
 /// Classification of one recorded candidate test.
 enum class BlockerClass : std::uint8_t {
@@ -119,22 +118,16 @@ enum class BlockerClass : std::uint8_t {
   kMulti = 3,   ///< two or more obstacles intersected; no single removal rescues it
 };
 
-/// One blocked-frontier entry: the tested candidate state (full bits, for
-/// exact replay matching) plus its blocker attribution.
+/// One candidate test's outcome: its blocker attribution.
 struct BlockRecord {
-  dynamics::VehicleState state;
   std::uint32_t sole_blocker = 0;  ///< index into the obstacles span, valid for kSole
   BlockerClass cls = BlockerClass::kPassed;
 };
 
-/// Per-slice memo of every candidate test of an attributed propagation.
-/// Flat containers only (§9): records live in a dense vector; `by_state`
-/// maps a SplitMix64 hash of the state bits to the first record with that
-/// hash (replay verifies full state equality and falls back to geometry on
-/// the ~2^-64 mismatch, so collisions cost time, never correctness).
+/// Every candidate test of one slice of an attributed propagation, in test
+/// order.
 struct SliceAttribution {
   std::vector<BlockRecord> tests;
-  common::FlatHashGrid<std::uint32_t> by_state;
 };
 
 /// Everything a counterfactual replay needs from the attributed base run.
@@ -188,8 +181,10 @@ struct AttributedTube {
 struct CounterfactualStats {
   bool free = false;            ///< no divergence: tube copied from the base
   std::uint32_t replay_from = 0;  ///< first re-propagated slice (when !free)
-  std::size_t memo_hits = 0;    ///< candidate tests answered from the record
-  std::size_t fresh_tests = 0;  ///< geometry tests actually run (the delta)
+  /// Always 0: replays re-test every candidate (DESIGN.md §12). Kept so
+  /// existing readers of the field still build.
+  std::size_t memo_hits = 0;
+  std::size_t fresh_tests = 0;  ///< candidate tests the replay ran
 };
 
 class ReachTubeComputer {
@@ -232,7 +227,7 @@ class ReachTubeComputer {
                                     const dynamics::VehicleState& ego,
                                     std::span<const ObstacleTimeline> obstacles) const;
 
-  /// |T^{-i}| for `obstacles[exclude_index]` by memoized replay of `base`
+  /// |T^{-i}| for `obstacles[exclude_index]` by resumed replay of `base`
   /// (checked: `exclude_index < obstacles.size()`). Bit-identical to a
   /// from-scratch propagation without that obstacle; `base` must come from
   /// compute_attributed over the same (map, ego, obstacles). When the
@@ -265,16 +260,17 @@ class ReachTubeComputer {
   ///
   ///   activate(slice)        — fill scratch.active for the slice;
   ///   analyze(slice)         — batched geometry over the pending lane block
-  ///                            (no-op for memoized replays);
+  ///                            (no-op for replays);
   ///   consult(lane, ns, slice) — "does this candidate survive", reading the
-  ///                            analyzed lane outcomes (or a memo).
+  ///                            analyzed lane outcomes (or, for replays,
+  ///                            testing the state with classify_state).
   ///
   /// `on_loop_begin(j)` / `on_slice_done(j, volume)` are the attribution
   /// recorder's hooks; the plain and replay paths pass no-ops that inline
   /// away. Every caller — plain, attributed, replay — funnels through this
-  /// one loop, which is the §12 bit-identity argument: a replay differs from
-  /// from-scratch only in where candidate-test answers come from, and those
-  /// answers are proven equal case by case.
+  /// one loop, which is the §12 bit-identity argument: a replay is the
+  /// from-scratch loop resumed at its divergence slice, with each candidate
+  /// answered by the scalar test the staged one is bit-identical to (§13).
   template <class Activate, class Analyze, class Consult, class OnLoopBegin,
             class OnSliceDone>
   void propagate(detail::TubeScratch& scratch, ReachTube& tube,
@@ -335,8 +331,8 @@ class ReachTubeComputer {
   /// *active* obstacle subset (`active` holds indices into `obstacles`,
   /// filtered once per slice against a conservative reachable-disc bound)
   /// that stops at the *second* blocker — two is enough, no single-actor
-  /// removal rescues a kMulti. Serves every seed test and the replay memo's
-  /// misses; the state survives iff the result is kPassed.
+  /// removal rescues a kMulti. Serves every seed test and every replay
+  /// candidate; the state survives iff the result is kPassed.
   BlockRecord classify_state(const roadmap::DrivableMap& map,
                              const dynamics::VehicleState& s,
                              std::span<const ObstacleTimeline> obstacles,

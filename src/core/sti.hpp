@@ -38,9 +38,9 @@ struct StiResult {
 // The N+2 tubes an evaluation needs — |T|, |T^{∅}|, and one counterfactual
 // per actor — share almost their whole wavefront. The base |T| is propagated
 // once with blocked-by attribution and every other tube is derived from it by
-// memoized replay (DESIGN.md §12): actors that rejected nothing are free, the
-// rest re-run fresh geometry only on their delta wavefront. The N+1 derived
-// tubes are independent const reads of the attributed base, so with
+// resumed replay (DESIGN.md §12): actors that rejected nothing alone are
+// free, the rest re-propagate only from their first rejection on. The N+1
+// derived tubes are independent const reads of the attributed base, so with
 // `num_threads > 0` they fan out over a common::ThreadPool and aggregate by
 // index — parallel results stay bit-identical to serial ones (DESIGN.md §8)
 // and to the from-scratch N+2 fan-out of the test oracle (tests/oracle.hpp).

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/flat_hash.hpp"
 #include "common/rng.hpp"
 #include "dynamics/bicycle.hpp"
 #include "dynamics/trajectory.hpp"
@@ -212,6 +213,12 @@ sim::World typology_world(const scenario::ScenarioFactory& factory,
   sim::World world = factory.build(spec);
   for (int i = 0; i < 20; ++i) world.step(dynamics::Control{0.0, 0.0});
   return world;
+}
+
+std::size_t produced_slices(const core::ReachTube& tube) {
+  std::size_t n = 0;
+  while (n < tube.slices.size() && !tube.slices[n].empty()) ++n;
+  return n;
 }
 
 void expect_same_tube(const core::ReachTube& expected, const core::ReachTube& actual) {

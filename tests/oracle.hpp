@@ -4,7 +4,7 @@
 //
 // The production engine (src/core) reaches the same tubes through a staged
 // SoA pipeline — batch step/footprint kernels, per-slice obstacle active
-// sets, a vectorized broad phase, an attributed base propagation, memoized
+// sets, a vectorized broad phase, an attributed base propagation, resumed
 // counterfactual replays, a thread-pool fan-out and pooled session scratch.
 // None of that exists here: the oracle steps one candidate at a time and
 // tests it against every non-excluded obstacle with an exact SAT test. Every
@@ -14,6 +14,7 @@
 // optimization is checked to change no result.
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 #include "common/units.hpp"
@@ -53,6 +54,10 @@ core::StiResult oracle_sti(const roadmap::DrivableMap& map, const dynamics::Vehi
 /// the threat is live.
 sim::World typology_world(const scenario::ScenarioFactory& factory,
                           scenario::Typology typology);
+
+/// Slices holding at least one state: the tube vector always has
+/// slice_count + 1 entries, and a pinched-off tube leaves the tail empty.
+std::size_t produced_slices(const core::ReachTube& tube);
 
 /// Exact == on every volume and state: the guarantee is bit-identity, not
 /// closeness.

@@ -222,7 +222,7 @@ TEST(GeomKernelIdentity, FullTubeMatchesScalarReferenceAcrossTypologies) {
 }
 
 TEST(GeomKernelIdentity, AttributedAndReplayMatchScalarReference) {
-  // The attributed base propagation and the memoized counterfactual replays
+  // The attributed base propagation and the resumed counterfactual replays
   // route through the same batch path; both must still land on the oracle's
   // bits (replays against oracle tubes with the excluded actor dropped).
   const scenario::ScenarioFactory factory;

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/units.hpp"
 #include "core/monitor.hpp"
@@ -18,6 +20,7 @@
 #include "core/sti.hpp"
 #include "dynamics/cvtr.hpp"
 #include "oracle.hpp"
+#include "roadmap/straight_road.hpp"
 #include "scenario/factory.hpp"
 #include "sim/world.hpp"
 
@@ -116,7 +119,7 @@ TEST(ParallelSti, MonitorAssessmentsUnchangedByThreads) {
 // --- CounterfactualDeltaIdentity (DESIGN.md §12) ---------------------------
 //
 // The shared-wavefront engine derives every counterfactual tube from one
-// attributed base propagation by memoized replay. Its contract is *exact*
+// attributed base propagation by resumed replay. Its contract is *exact*
 // identity — contents, cardinalities, SplitMix64 emission order — with a
 // from-scratch propagation without the actor, for every typology, thread
 // count, and scratch capacity. The reference is the scalar test oracle.
@@ -251,6 +254,131 @@ TEST(CounterfactualDeltaIdentity, ActorThatBlocksNothingIsFree) {
   oracle::expect_same_tube(oracle::oracle_tube(world.map(), world.ego().state, obstacles,
                                                params, common::ActorId{far_actor.id}),
                            cf);
+}
+
+// --- Replay resume edge cases ----------------------------------------------
+//
+// A replay resumes the propagation at its divergence slice j*. Two resumes
+// have no base slices to lean on: j* = 0, where the base rejected the seed
+// itself, and a replay that outlives the base tube's early pinch-off, where
+// the base produced no slice to copy and recorded no test past it.
+
+/// A stationary actor: a one-sample forecast holds its pose for the horizon.
+core::ActorForecast parked(int id, double x, double y, dynamics::Dimensions dims) {
+  core::ActorForecast f;
+  f.id = id;
+  f.dims = dims;
+  f.trajectory.append(common::Seconds{0.0}, dynamics::VehicleState{x, y, 0.0, 0.0});
+  return f;
+}
+
+/// Every replay-derived tube of one scene against the oracle's from-scratch
+/// tube: |T^{∅}| and each |T^{/i}|. The stats and tubes are handed back so
+/// a test can assert which resume case its scene reached.
+struct SceneReplays {
+  core::AttributedTube base;
+  core::ReachTube unblocked;
+  core::CounterfactualStats unblocked_stats;
+  std::vector<core::ReachTube> without;
+  std::vector<core::CounterfactualStats> without_stats;
+};
+
+SceneReplays expect_replays_match_oracle(const roadmap::DrivableMap& map,
+                                         const dynamics::VehicleState& ego,
+                                         std::span<const core::ActorForecast> forecasts,
+                                         const core::ReachTubeParams& params) {
+  const core::ReachTubeComputer rt(params);
+  const auto obstacles = rt.sample_obstacles(forecasts, common::Seconds{0.0});
+  core::RiskSession session;
+  SceneReplays out;
+  out.base = rt.compute_attributed(session, map, ego, obstacles);
+  oracle::expect_same_tube(oracle::oracle_tube(map, ego, obstacles, params), out.base.tube);
+  out.unblocked =
+      rt.compute_unblocked(session, map, ego, obstacles, out.base, &out.unblocked_stats);
+  oracle::expect_same_tube(oracle::oracle_tube(map, ego, {}, params), out.unblocked);
+  out.without_stats.resize(forecasts.size());
+  for (std::size_t i = 0; i < forecasts.size(); ++i) {
+    SCOPED_TRACE("actor_index=" + std::to_string(i));
+    out.without.push_back(rt.compute_counterfactual(session, map, ego, obstacles, out.base,
+                                                    i, &out.without_stats[i]));
+    oracle::expect_same_tube(
+        oracle::oracle_tube(map, ego, obstacles, params, common::ActorId{forecasts[i].id}),
+        out.without.back());
+  }
+  return out;
+}
+
+TEST(CounterfactualDeltaIdentity, BlockedSeedReplaysMatchOracle) {
+  const roadmap::StraightRoad map(3, 3.5, 400.0);
+  const dynamics::VehicleState ego{50.0, 5.25, 0.0, 10.0};
+  const dynamics::Dimensions car{4.5, 2.0};
+  core::ReachTubeParams uniform;
+  uniform.boundary_controls = false;
+  for (const core::ReachTubeParams& params : {core::ReachTubeParams{}, uniform}) {
+    SCOPED_TRACE(params.boundary_controls ? "boundary controls" : "uniform sampling");
+    {
+      // kSole seed: actor 1 overlaps the ego's nose; actor 2, parked ahead
+      // in the right lane, stays in every replay's active set.
+      SCOPED_TRACE("sole blocker");
+      const std::vector<core::ActorForecast> forecasts = {parked(1, 53.0, 5.25, car),
+                                                          parked(2, 70.0, 1.75, car)};
+      const SceneReplays r = expect_replays_match_oracle(map, ego, forecasts, params);
+      EXPECT_TRUE(r.base.tube.empty());
+      EXPECT_EQ(r.base.attribution.first_sole_block[0], 0u);
+      // The seed is rescued: both replays start at j* = 0 and grow a tube.
+      EXPECT_EQ(r.without_stats[0].replay_from, 0u);
+      EXPECT_FALSE(r.without_stats[0].free);
+      EXPECT_FALSE(r.without[0].empty());
+      EXPECT_EQ(r.unblocked_stats.replay_from, 0u);
+      EXPECT_FALSE(r.unblocked_stats.free);
+      EXPECT_FALSE(r.unblocked.empty());
+      // Actor 2 never got to test a candidate: its counterfactual is free.
+      EXPECT_TRUE(r.without_stats[1].free);
+      EXPECT_TRUE(r.without[1].empty());
+    }
+    {
+      // kMulti seed: both actors overlap the ego, so removing either one
+      // leaves the seed blocked — per-actor counterfactuals are free and
+      // empty — while |T^{∅}| lifts both and rescues it.
+      SCOPED_TRACE("two blockers");
+      const std::vector<core::ActorForecast> forecasts = {parked(1, 53.0, 5.25, car),
+                                                          parked(2, 47.0, 5.25, car)};
+      const SceneReplays r = expect_replays_match_oracle(map, ego, forecasts, params);
+      EXPECT_TRUE(r.base.tube.empty());
+      EXPECT_EQ(r.base.attribution.first_actor_block, 0u);
+      for (std::size_t i = 0; i < forecasts.size(); ++i) {
+        EXPECT_TRUE(r.without_stats[i].free) << "actor_index=" << i;
+        EXPECT_TRUE(r.without[i].empty()) << "actor_index=" << i;
+      }
+      EXPECT_EQ(r.unblocked_stats.replay_from, 0u);
+      EXPECT_FALSE(r.unblocked.empty());
+    }
+  }
+}
+
+TEST(CounterfactualDeltaIdentity, ReplayPastEarlyPinchOffMatchesOracle) {
+  // A parked wall across all three lanes, 20 m ahead of an ego that cannot
+  // brake (the default boundary set is {0, a_max}): every route ends at the
+  // wall, so the base tube pinches off well before the 3 s horizon.
+  const roadmap::StraightRoad map(3, 3.5, 400.0);
+  const dynamics::VehicleState ego{50.0, 5.25, 0.0, 10.0};
+  const dynamics::Dimensions block{4.5, 3.5};
+  const std::vector<core::ActorForecast> forecasts = {
+      parked(1, 70.0, 1.75, block), parked(2, 70.0, 5.25, block),
+      parked(3, 70.0, 8.75, block)};
+  const core::ReachTubeParams params;
+  const SceneReplays r = expect_replays_match_oracle(map, ego, forecasts, params);
+
+  const std::size_t base_slices = oracle::produced_slices(r.base.tube);
+  ASSERT_GT(base_slices, 1u);
+  ASSERT_LT(base_slices, r.base.tube.slices.size());
+  // Lifting the middle block opens the ego's own lane: that replay resumes
+  // before the pinch-off and keeps propagating past the base's last slice.
+  const std::size_t middle = 1;
+  EXPECT_FALSE(r.without_stats[middle].free);
+  EXPECT_LT(r.without_stats[middle].replay_from, base_slices);
+  EXPECT_GT(oracle::produced_slices(r.without[middle]), base_slices);
+  EXPECT_GT(oracle::produced_slices(r.unblocked), base_slices);
 }
 
 TEST(CounterfactualDeltaIdentity, MonitorAssessmentsUnchangedByEngine) {

@@ -11,12 +11,15 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <span>
 
+#include "common/telemetry.hpp"
 #include "core/reachtube.hpp"
 #include "dynamics/state.hpp"
+#include "oracle.hpp"
 #include "roadmap/straight_road.hpp"
 
 namespace {
@@ -53,14 +56,6 @@ core::ReachTubeParams capped_params(bool dedup, double horizon) {
   return params;
 }
 
-/// Slices actually produced (the tube vector always has slice_count + 1
-/// entries; a pinched-off tube leaves the tail empty).
-std::size_t produced_slices(const core::ReachTube& tube) {
-  std::size_t n = 0;
-  while (n < tube.slices.size() && !tube.slices[n].empty()) ++n;
-  return n;
-}
-
 class TubeAllocTest : public ::testing::TestWithParam<bool> {
  protected:
   roadmap::StraightRoad map_{3, 3.5, 400.0};
@@ -72,7 +67,7 @@ TEST_P(TubeAllocTest, EverySliceStoresExactCapacity) {
   core::RiskSession session;
   const core::ReachTube tube =
       rt.compute(session, map_, ego_, std::span<const core::ObstacleTimeline>{});
-  ASSERT_GT(produced_slices(tube), 1u);
+  ASSERT_GT(oracle::produced_slices(tube), 1u);
   for (std::size_t j = 0; j < tube.slices.size(); ++j) {
     // The slice owns a right-sized block, not a surrendered scratch buffer:
     // a moved-out candidates vector would leave capacity ≈ the scratch
@@ -92,8 +87,8 @@ TEST_P(TubeAllocTest, SteadyStateAllocationsAreOneExactBlockPerSlice) {
   core::RiskSession warm_session;
   const core::ReachTube warm_short = short_rt.compute(warm_session, map_, ego_, none);
   const core::ReachTube warm_long = long_rt.compute(warm_session, map_, ego_, none);
-  const std::size_t short_slices = produced_slices(warm_short);
-  const std::size_t long_slices = produced_slices(warm_long);
+  const std::size_t short_slices = oracle::produced_slices(warm_short);
+  const std::size_t long_slices = oracle::produced_slices(warm_long);
   ASSERT_GT(long_slices, short_slices);
   // Both runs must reach a full-width steady state before the short horizon
   // ends, so the long run's extra slices repeat it (identical per-slice
@@ -131,14 +126,14 @@ TEST_P(TubeAllocTest, ReusedSessionTicksAllocateTubeStorageOnly) {
   // scratch block itself, its grid/candidate/lane reservations, plus the
   // one-time telemetry registrations. All of it persists in the session.
   const core::ReachTube warm = rt.compute(session, map_, ego_, none);
-  const std::size_t slices = produced_slices(warm);
+  const std::size_t slices = oracle::produced_slices(warm);
   ASSERT_GT(slices, 1u);
 
   const auto count_tick = [&] {
     const std::size_t before = g_allocations.load();
     const core::ReachTube tube = rt.compute(session, map_, ego_, none);
     const std::size_t after = g_allocations.load();
-    EXPECT_EQ(produced_slices(tube), slices);  // same shape every tick
+    EXPECT_EQ(oracle::produced_slices(tube), slices);  // same shape every tick
     return after - before;
   };
 
@@ -152,6 +147,26 @@ TEST_P(TubeAllocTest, ReusedSessionTicksAllocateTubeStorageOnly) {
   const std::size_t tick3 = count_tick();
   EXPECT_EQ(tick2, 1 + slices);
   EXPECT_EQ(tick3, tick2);
+}
+
+TEST_P(TubeAllocTest, WarmComputesAddNoScratchRehashes) {
+#if !IPRISM_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out: no reachtube.scratch_rehashes counter";
+#else
+  const core::ReachTubeComputer rt(capped_params(GetParam(), 3.0));
+  const std::span<const core::ObstacleTimeline> none;
+  core::RiskSession session;
+  (void)rt.compute(session, map_, ego_, none);  // cold: builds and reserves the scratch
+
+  // The pooled scratch keeps its grid across computes, so the grid's
+  // lifetime rehash count stays put on warm ticks — and the counter, which
+  // reports each propagation's own rehashes, must not move at all.
+  const common::telemetry::Counter& rehashes =
+      common::telemetry::MetricsRegistry::instance().counter("reachtube.scratch_rehashes");
+  const std::uint64_t before = rehashes.value();
+  for (int tick = 0; tick < 5; ++tick) (void)rt.compute(session, map_, ego_, none);
+  EXPECT_EQ(rehashes.value(), before);
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(DedupModes, TubeAllocTest, ::testing::Bool(),

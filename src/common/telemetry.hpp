@@ -7,8 +7,9 @@
 //   1. Compile-time removable. Instrumentation goes through the IPRISM_*
 //      macros below; without IPRISM_ENABLE_TELEMETRY every macro expands to
 //      nothing (arguments unevaluated), so the instrumented hot paths are
-//      bit-for-bit the uninstrumented code. The bench criterion is ≤1%
-//      on BM_TubeHotpath*/BM_TubeHotpathStiBaseline with telemetry off.
+//      bit-for-bit the uninstrumented code. tests/test_telemetry_off.cpp
+//      checks that expansion in every build; DESIGN.md §11 records the
+//      measured on/off overhead.
 //   2. Allocation-free on the hot path. Registration (the first time a
 //      macro's enclosing scope runs) takes the registry mutex and may
 //      allocate; every subsequent hit is a relaxed atomic add (counters,

@@ -1,8 +1,7 @@
-// Kernel TU: compiled with -ffp-contract=off (and, under
-// IPRISM_ENABLE_SIMD=OFF, with the tree vectorizers disabled) so the lane
-// loop evaluates the exact scalar expression sequence of
-// BicycleModel::step in bicycle.cpp — same association order, no fused
-// multiply-add — and SIMD-on and SIMD-off builds produce identical bits.
+// Kernel TU: compiled with -ffp-contract=off so the lane loop evaluates the
+// exact scalar expression sequence of BicycleModel::step in bicycle.cpp —
+// same association order, no fused multiply-add — and produces the same
+// bits whether or not the compiler vectorizes it.
 // Any edit here must be mirrored in bicycle.cpp (and vice versa); the
 // GeomKernelIdentity suite fails on the first diverging bit.
 #include "dynamics/step_batch.hpp"

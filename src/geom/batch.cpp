@@ -1,10 +1,9 @@
-// Kernel TU: compiled with -ffp-contract=off (and, under
-// IPRISM_ENABLE_SIMD=OFF, with the tree vectorizers disabled). Every loop
-// body replicates the scalar expression sequence — OrientedBox::corners(),
-// Aabb::expand in corner order, the classify_state broad-phase predicate — with
-// the same association, so SIMD-on, SIMD-off, and the scalar path agree to
-// the bit (enforced by tests/test_geom_kernel_identity.cpp). Any edit here
-// must be mirrored against obb.cpp / aabb.hpp.
+// Kernel TU: compiled with -ffp-contract=off. Every loop body replicates the
+// scalar expression sequence — OrientedBox::corners(), Aabb::expand in
+// corner order, the classify_state broad-phase predicate — with the same
+// association, so the kernels and the scalar path agree to the bit
+// (enforced by tests/test_geom_kernel_identity.cpp). Any edit here must be
+// mirrored against obb.cpp / aabb.hpp.
 #include "geom/batch.hpp"
 
 #include <algorithm>
@@ -16,27 +15,6 @@ void footprint_axes(std::size_t n, const double* heading, double* ax, double* ay
   for (std::size_t i = 0; i < n; ++i) {
     ax[i] = std::cos(heading[i]);
     ay[i] = std::sin(heading[i]);
-  }
-}
-
-void footprint_corners(std::size_t n, const double* cx, const double* cy, const double* ax,
-                       const double* ay, double hl, double hw, double* const corner_x[4],
-                       double* const corner_y[4]) {
-  for (std::size_t i = 0; i < n; ++i) {
-    // fwd = axis_long * hl; left = axis_lat * hw, axis_lat = perp = (-ay, ax).
-    const double fx = ax[i] * hl;
-    const double fy = ay[i] * hl;
-    const double lx = -ay[i] * hw;
-    const double ly = ax[i] * hw;
-    // corners() order: c+f+l, c-f+l, c-f-l, c+f-l (Vec2 ops left-associate).
-    corner_x[0][i] = (cx[i] + fx) + lx;
-    corner_y[0][i] = (cy[i] + fy) + ly;
-    corner_x[1][i] = (cx[i] - fx) + lx;
-    corner_y[1][i] = (cy[i] - fy) + ly;
-    corner_x[2][i] = (cx[i] - fx) - lx;
-    corner_y[2][i] = (cy[i] - fy) - ly;
-    corner_x[3][i] = (cx[i] + fx) - lx;
-    corner_y[3][i] = (cy[i] + fy) - ly;
   }
 }
 

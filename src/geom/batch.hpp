@@ -1,7 +1,7 @@
 // Structure-of-arrays batch kernels for footprint geometry (DESIGN.md §13).
 //
 // The reach-tube inner loop needs, per candidate state: the footprint's
-// local axes (cos/sin of the heading), its four corners, the corner AABB
+// local axes (cos/sin of the heading), the AABB of its four corners
 // (consumed by the drivable-area band test), and a circumradius distance
 // cull against each active obstacle. These kernels compute those quantities
 // for whole lanes at a time, **bit-identically** to the scalar path
@@ -23,19 +23,11 @@ namespace iprism::geom {
 /// produces for the same heading.
 void footprint_axes(std::size_t n, const double* heading, double* ax, double* ay);
 
-/// Corner SoA per lane, CCW from (+x, +y) in the local frame — bit-identical
-/// to OrientedBox(center, hl, hw, heading).corners(). `cx/cy` are the box
-/// centres, `ax/ay` the axes from footprint_axes, `hl/hw` the shared half
-/// extents. `corner_x[k]` / `corner_y[k]` (k in [0, 4)) each point at `n`
-/// doubles.
-void footprint_corners(std::size_t n, const double* cx, const double* cy, const double* ax,
-                       const double* ay, double hl, double hw, double* const corner_x[4],
-                       double* const corner_y[4]);
-
 /// Corner AABB per lane — bit-identical to OrientedBox::aabb() (corners
-/// folded through Aabb::expand in corner order). Corners are formed in
-/// registers with the exact footprint_corners expressions; nothing is
-/// stored but the bounds.
+/// folded through Aabb::expand in corner order). `cx/cy` are the box
+/// centres, `ax/ay` the axes from footprint_axes, `hl/hw` the shared half
+/// extents. The four corners are formed in registers with the exact
+/// expressions of OrientedBox::corners(); nothing is stored but the bounds.
 void footprint_aabbs(std::size_t n, const double* cx, const double* cy, const double* ax,
                      const double* ay, double hl, double hw, double* lo_x, double* lo_y,
                      double* hi_x, double* hi_y);

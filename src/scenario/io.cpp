@@ -1,12 +1,29 @@
 #include "scenario/io.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 
 #include "common/check.hpp"
 
 namespace iprism::scenario {
+namespace {
+
+// True iff all of `text` parses as one T. std::stod / std::stoull would stop
+// at the first bad character, wrap a negative instance to 2^64 - 1, and
+// throw std::out_of_range rather than std::invalid_argument.
+template <typename T>
+bool parse_whole(std::string_view text, T& value) {
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  return ec == std::errc() && stop == end;
+}
+
+}  // namespace
 
 Typology typology_from_name(std::string_view name) {
   for (Typology t : kAllTypologies) {
@@ -39,13 +56,18 @@ std::vector<ScenarioSpec> read_suite(std::istream& is) {
     IPRISM_CHECK(std::getline(row, cell, ','), "read_suite: missing typology column");
     spec.typology = typology_from_name(cell);
     IPRISM_CHECK(std::getline(row, cell, ','), "read_suite: missing instance column");
-    spec.instance = std::stoull(cell);
+    IPRISM_CHECK(parse_whole(cell, spec.instance),
+                 "read_suite: instance '" + cell + "' is not a non-negative integer");
 
     while (std::getline(row, cell, ',')) {
       const auto eq = cell.find('=');
       IPRISM_CHECK(eq != std::string::npos && eq > 0,
                    "read_suite: malformed hyperparameter cell '" + cell + "'");
-      spec.hyperparams[cell.substr(0, eq)] = std::stod(cell.substr(eq + 1));
+      const std::string_view text = std::string_view(cell).substr(eq + 1);
+      double value = 0.0;
+      IPRISM_CHECK(parse_whole(text, value) && std::isfinite(value),
+                   "read_suite: hyperparameter cell '" + cell + "' is not a finite number");
+      spec.hyperparams[cell.substr(0, eq)] = value;
     }
     out.push_back(std::move(spec));
   }

@@ -18,7 +18,9 @@ namespace iprism::scenario {
 void write_suite(std::ostream& os, const std::vector<ScenarioSpec>& specs);
 
 /// Parses a suite written by write_suite. Throws std::invalid_argument on
-/// malformed rows or unknown typology names.
+/// malformed rows, unknown typology names, an instance that is not a
+/// non-negative integer, or a hyperparameter value that is not a finite
+/// number (every cell must parse completely).
 std::vector<ScenarioSpec> read_suite(std::istream& is);
 
 /// Typology from its table name (inverse of typology_name; checked).

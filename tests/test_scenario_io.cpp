@@ -76,6 +76,14 @@ TEST(ScenarioIo, RejectsMalformedRows) {
     std::stringstream ss("Ghost Cut-in,0,missing_equals\n");
     EXPECT_THROW(read_suite(ss), std::invalid_argument);
   }
+  // Every cell must parse completely: no non-finite or out-of-range values,
+  // no trailing junk, no negative instance.
+  for (const char* row : {"Ghost Cut-in,0,a=nan\n", "Ghost Cut-in,0,a=inf\n",
+                          "Ghost Cut-in,0,a=1.5junk\n", "Ghost Cut-in,0,a=1e999\n",
+                          "Ghost Cut-in,-1,a=1\n", "Ghost Cut-in,3x,a=1\n"}) {
+    std::stringstream ss(row);
+    EXPECT_THROW(read_suite(ss), std::invalid_argument) << row;
+  }
 }
 
 }  // namespace

@@ -148,13 +148,16 @@ TEST(TelemetryExport, ChromeTraceIsWellFormedJson) {
   EXPECT_EQ(json.back(), '}');
 }
 
-// --- Macro layer: behavior in both build modes ----------------------------
+// --- Macro layer ----------------------------------------------------------
 //
-// With IPRISM_ENABLE_TELEMETRY the macros must register and update metrics;
-// compiled out (the release-notelemetry preset builds this same file) they
-// must expand to nothing — this branch proves no metric gets registered.
+// With IPRISM_ENABLE_TELEMETRY the macros must register and update metrics.
+// The compiled-out expansion is checked in every build, whatever this
+// option says, by tests/test_telemetry_off.cpp.
 
 TEST(TelemetryMacros, MacrosFollowBuildMode) {
+#if !IPRISM_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out: test_telemetry_off covers this mode";
+#else
   IPRISM_COUNT("test.macro_counter");
   IPRISM_COUNT_ADD("test.macro_counter", 4);
   IPRISM_GAUGE_SET("test.macro_gauge", 2.5);
@@ -163,7 +166,6 @@ TEST(TelemetryMacros, MacrosFollowBuildMode) {
     IPRISM_SCOPED_TIMER("test.macro_span", "test");
   }
   auto& reg = MetricsRegistry::instance();
-#if IPRISM_TELEMETRY_ENABLED
   const Counter* c = reg.find_counter("test.macro_counter");
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->value(), 5u);
@@ -176,11 +178,6 @@ TEST(TelemetryMacros, MacrosFollowBuildMode) {
   const Histogram* span = reg.find_histogram("test.macro_span");
   ASSERT_NE(span, nullptr);
   EXPECT_EQ(span->count(), 1u);
-#else
-  EXPECT_EQ(reg.find_counter("test.macro_counter"), nullptr);
-  EXPECT_EQ(reg.find_gauge("test.macro_gauge"), nullptr);
-  EXPECT_EQ(reg.find_histogram("test.macro_hist"), nullptr);
-  EXPECT_EQ(reg.find_histogram("test.macro_span"), nullptr);
 #endif
 }
 

@@ -26,23 +26,10 @@ this lint enforces the ones that keep the risk monitor trustworthy:
                     IPRISM_HISTOGRAM_NS, or bench::WallTimer for bench
                     table reporting.
 
-Four former rules now live in the clang-tidy plugin (tools/tidy-plugin/),
-which sees the AST instead of regexes and therefore has no false positives
-on comments, strings, or macro bodies:
-
-  rng-discipline        -> iprism-rng-discipline
-  thread-discipline     -> iprism-raw-thread
-  container-discipline  -> iprism-no-unordered-in-core
-  float-eq              -> iprism-float-eq
-
-Run them via ``tools/run_tidy.sh`` (or the ``tidy`` CMake preset); suppress
-with ``// NOLINTNEXTLINE(iprism-<check>)``. A leftover
-``iprism-lint: allow(<migrated-rule>)`` comment is reported as stale.
-
-Suppression (for the rules still here): append
-``// iprism-lint: allow(<rule>) <one-line justification>`` to the flagged
-line (or the line directly above). The justification is mandatory — a bare
-allow() is itself a finding.
+Suppression: append ``// iprism-lint: allow(<rule>) <one-line justification>``
+to the flagged line (or the line directly above). The justification is
+mandatory — a bare allow(), or one naming a rule not listed above, is itself
+a finding.
 
 Exit status: 0 = clean, 1 = findings, 2 = usage/internal error.
 """
@@ -53,15 +40,6 @@ import sys
 from pathlib import Path
 
 RULES = ("params-validated", "header-hygiene", "telemetry-discipline")
-
-# Rules that moved into the clang-tidy plugin (tools/tidy-plugin/). Kept here
-# so stale allow() comments get a pointed message instead of "unknown rule".
-MIGRATED_RULES = {
-    "rng-discipline": "iprism-rng-discipline",
-    "thread-discipline": "iprism-raw-thread",
-    "container-discipline": "iprism-no-unordered-in-core",
-    "float-eq": "iprism-float-eq",
-}
 
 SUPPRESS_RE = re.compile(r"//\s*iprism-lint:\s*allow\(([a-z-]+)\)\s*(.*)")
 
@@ -117,12 +95,6 @@ def suppressions(lines):
         if not m:
             continue
         rule, why = m.group(1), m.group(2).strip()
-        if rule in MIGRATED_RULES:
-            bare.append(Finding(
-                "suppression", "?", i,
-                f"stale allow({rule}) — this rule moved to the clang-tidy "
-                f"plugin; use // NOLINTNEXTLINE({MIGRATED_RULES[rule]}) instead"))
-            continue
         if rule not in RULES:
             bare.append(Finding("suppression", "?", i,
                                 f"unknown rule '{rule}' in allow()"))
@@ -258,9 +230,7 @@ def main():
         print(f"iprism_lint: {len(findings)} finding(s) in {len(sources)} files",
               file=sys.stderr)
         return 1
-    migrated = ", ".join(f"{k} -> {v}" for k, v in MIGRATED_RULES.items())
-    print(f"iprism_lint: OK ({len(sources)} files clean; "
-          f"rules {', '.join(RULES)}; migrated to clang-tidy: {migrated})")
+    print(f"iprism_lint: OK ({len(sources)} files clean; rules {', '.join(RULES)})")
     return 0
 
 

@@ -115,8 +115,8 @@ private:
       return;
     Check.diag(HashLoc,
                "vendor intrinsics header outside the batch kernel TUs: "
-               "hand-vectorized code bypasses the IPRISM_ENABLE_SIMD switch "
-               "and the bit-identity contract (DESIGN.md §13)");
+               "hand-vectorized code can re-round intermediates, breaking "
+               "the bit-identity contract (DESIGN.md §13)");
   }
 
   SimdDisciplineCheck &Check;
@@ -143,7 +143,7 @@ void SimdDisciplineCheck::registerPPCallbacks(const SourceManager &SM, Preproces
 
 void SimdDisciplineCheck::registerMatchers(MatchFinder *Finder) {
   // __attribute__((target(...))) / [[gnu::target(...)]] forks codegen per
-  // CPU feature set — per-function, invisible to the build-flag switch.
+  // CPU feature set — per-function, invisible to the build's compile flags.
   Finder->addMatcher(functionDecl(hasAttr(attr::Target)).bind("target-fn"), this);
 }
 
@@ -156,8 +156,8 @@ void SimdDisciplineCheck::check(const MatchFinder::MatchResult &Result) {
     return;
   diag(Fn->getLocation(),
        "per-function target attribute outside the batch kernel TUs: "
-       "feature-gated codegen bypasses the IPRISM_ENABLE_SIMD switch and "
-       "the bit-identity contract (DESIGN.md §13)");
+       "feature-gated codegen forks per CPU, breaking the bit-identity "
+       "contract (DESIGN.md §13)");
 }
 
 } // namespace clang::tidy::iprism

@@ -6,14 +6,13 @@
 // vectorize/interleave`), and per-function target attributes
 // (`__attribute__((target(...)))`).
 //
-// The reach-tube kernels are portable fixed-width lane loops whose
-// vectorization is governed solely by the IPRISM_ENABLE_SIMD build option,
-// and both settings must produce bit-identical tubes (DESIGN.md §13). Any
-// of the constructs above sidesteps that single switch — hand-vectorized
-// code can re-round intermediates, forced vectorization can reassociate
-// reductions, and target attributes fork codegen per CPU — so they are
-// confined to the kernel TUs where the determinism contract is enforced by
-// the GeomKernelIdentity suite.
+// The reach-tube kernels are portable fixed-width lane loops compiled with
+// -ffp-contract=off; whatever the compiler makes of them must match the
+// scalar path bit for bit (DESIGN.md §13). Each construct above puts code
+// outside that contract — hand-vectorized code can re-round intermediates,
+// forced vectorization can reassociate reductions, and target attributes
+// fork codegen per CPU — so they are confined to the kernel TUs, where the
+// GeomKernelIdentity suite enforces the contract.
 //
 // Options:
 //   AllowedFilesRegex — files exempt from the ban (default: the batch

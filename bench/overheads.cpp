@@ -10,8 +10,8 @@
 // warm steady state a monitor stream runs in (DESIGN.md §14).
 //
 // BM_TubeHotpathFlat times one tube through the production hot loop
-// (common::FlatHashGrid scratch, per-slice obstacle active-set, staged batch
-// kernels). Recorded with BM_StiFullPerActor as BENCH_tube_hotpath.json from
+// (common::FlatHashGrid scratch, per-slice obstacle active-set, batch step
+// kernel). Recorded with BM_StiFullPerActor as BENCH_tube_hotpath.json from
 // the release preset:
 //   ./overheads --require-release \
 //     '--benchmark_filter=BM_TubeHotpath|BM_StiFullPerActor$' \
@@ -24,9 +24,9 @@
 //     --benchmark_filter=BM_CounterfactualFanout \
 //     --benchmark_out=BENCH_counterfactual_delta.json --benchmark_out_format=json
 //
-// The BM_GeomKernel family measures the staged batch kernels behind the
-// propagation rewrite (DESIGN.md §13) against their scalar per-lane
-// counterparts. Recorded as BENCH_geom_kernel.json:
+// The BM_GeomKernel family measures the batch step kernel of the staged
+// propagation (DESIGN.md §13) against its scalar per-lane counterpart.
+// Recorded as BENCH_geom_kernel.json:
 //   ./overheads --require-release \
 //     --benchmark_filter=BM_GeomKernel \
 //     --benchmark_out=BENCH_geom_kernel.json --benchmark_out_format=json
@@ -44,8 +44,6 @@
 #include "dynamics/cvtr.hpp"
 #include "dynamics/step_batch.hpp"
 #include "dynamics/trajectory.hpp"
-#include "geom/batch.hpp"
-#include "geom/obb.hpp"
 #include "smc/controller.hpp"
 #include "smc/features.hpp"
 #include "ubench.hpp"
@@ -217,8 +215,8 @@ void BM_CounterfactualFanoutDelta(ubench::State& state) {
 UBENCH(BM_CounterfactualFanoutDelta)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
 
 // ---------------------------------------------------------------------------
-// BM_GeomKernel*: the staged batch kernels of the tube propagation
-// (DESIGN.md §13) against their scalar per-lane counterparts, at block sizes
+// BM_GeomKernel*: the batch step kernel of the tube propagation (DESIGN.md
+// §13) against its scalar per-lane counterpart, at block sizes
 // spanning one parent's controls (16), a typical partial flush (256), and a
 // multiple of the kLaneBlock flush threshold (4096). Recorded as
 // BENCH_geom_kernel.json from the release preset:
@@ -243,18 +241,10 @@ struct KernelLanes {
     ny.resize(n);
     nh.resize(n);
     nv.resize(n);
-    ax.resize(n);
-    ay.resize(n);
-    lo_x.resize(n);
-    lo_y.resize(n);
-    hi_x.resize(n);
-    hi_y.resize(n);
-    mask.resize(n);
   }
 
   std::vector<double> x, y, heading, speed, accel, steer, tan_steer;
-  std::vector<double> nx, ny, nh, nv, ax, ay, lo_x, lo_y, hi_x, hi_y;
-  std::vector<unsigned char> mask;
+  std::vector<double> nx, ny, nh, nv;
 };
 
 void BM_GeomKernelStep(ubench::State& state) {
@@ -293,70 +283,6 @@ void BM_GeomKernelStepScalar(ubench::State& state) {
   }
 }
 UBENCH(BM_GeomKernelStepScalar)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_GeomKernelFootprint(ubench::State& state) {
-  // Stage 2: footprint axes + corner AABBs for the whole block.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  KernelLanes lanes(n);
-  for (auto _ : state) {
-    geom::footprint_axes(n, lanes.heading.data(), lanes.ax.data(), lanes.ay.data());
-    geom::footprint_aabbs(n, lanes.x.data(), lanes.y.data(), lanes.ax.data(),
-                          lanes.ay.data(), 2.25, 1.0, lanes.lo_x.data(),
-                          lanes.lo_y.data(), lanes.hi_x.data(), lanes.hi_y.data());
-    ubench::DoNotOptimize(lanes.lo_x.data());
-  }
-}
-UBENCH(BM_GeomKernelFootprint)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_GeomKernelFootprintScalar(ubench::State& state) {
-  // Scalar counterpart: one OrientedBox construction + aabb() per lane.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  KernelLanes lanes(n);
-  const dynamics::Dimensions dims{4.5, 2.0};
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const geom::OrientedBox box = dynamics::footprint(
-          {lanes.x[i], lanes.y[i], lanes.heading[i], lanes.speed[i]}, dims);
-      const geom::Aabb bb = box.aabb();
-      lanes.lo_x[i] = bb.lo.x;
-      lanes.lo_y[i] = bb.lo.y;
-      lanes.hi_x[i] = bb.hi.x;
-      lanes.hi_y[i] = bb.hi.y;
-    }
-    ubench::DoNotOptimize(lanes.lo_x.data());
-  }
-}
-UBENCH(BM_GeomKernelFootprintScalar)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_GeomKernelCull(ubench::State& state) {
-  // Stage 3: circumradius broad-phase cull of one obstacle vs the block.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  KernelLanes lanes(n);
-  const double r_sq = 8.0 * 8.0;
-  for (auto _ : state) {
-    ubench::DoNotOptimize(geom::broad_phase_cull(n, lanes.x.data(), lanes.y.data(),
-                                                 120.0, 5.0, r_sq, lanes.mask.data()));
-  }
-}
-UBENCH(BM_GeomKernelCull)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_GeomKernelCullScalar(ubench::State& state) {
-  // Scalar counterpart: the per-lane distance predicate as classify_state runs it.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  KernelLanes lanes(n);
-  const geom::Vec2 center{120.0, 5.0};
-  const double r_sq = 8.0 * 8.0;
-  for (auto _ : state) {
-    std::size_t survivors = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool hit = !((center - geom::Vec2{lanes.x[i], lanes.y[i]}).norm_sq() > r_sq);
-      lanes.mask[i] = hit ? 1 : 0;
-      survivors += hit ? 1 : 0;
-    }
-    ubench::DoNotOptimize(survivors);
-  }
-}
-UBENCH(BM_GeomKernelCullScalar)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_CvtrForecasts(ubench::State& state) {
   auto& f = fixture();

@@ -9,7 +9,9 @@
 namespace iprism::common {
 
 /// Parses `--key=value` and bare `--flag` arguments. Unknown positional
-/// arguments raise std::invalid_argument so typos fail loudly.
+/// arguments raise std::invalid_argument so typos fail loudly, and so does a
+/// numeric getter whose value is not wholly a number of its type (trailing
+/// junk, a fraction for an int, out of range, or a non-finite double).
 class CliArgs {
  public:
   CliArgs(int argc, const char* const* argv);

@@ -38,9 +38,9 @@ struct RiskMonitorParams {
   /// Compute the per-actor attribution only at kCaution and above (the
   /// counterfactual tubes are the expensive part).
   bool attribute_when_elevated = true;
-  /// Tube configuration; `tube.num_threads > 0` fans the monitor's N+2 tube
-  /// evaluations across a thread pool without changing any assessment
-  /// (DESIGN.md §8).
+  /// Tube configuration; `tube.num_threads > 0` fans the N+1 tubes derived
+  /// from each serial attributed base across a thread pool without changing
+  /// any assessment (DESIGN.md §8).
   ReachTubeParams tube;
 };
 

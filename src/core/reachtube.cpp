@@ -9,7 +9,6 @@
 #include "common/telemetry.hpp"
 #include "core/session_state.hpp"
 #include "dynamics/step_batch.hpp"
-#include "geom/batch.hpp"
 
 namespace iprism::core {
 
@@ -142,12 +141,13 @@ BlockRecord ReachTubeComputer::classify_state(const roadmap::DrivableMap& map,
   return rec;  // kPassed, or kSole with the one blocker recorded
 }
 
-template <class Activate, class Analyze, class Consult, class OnLoopBegin,
-          class OnSliceDone>
+template <class Activate, class OnTest, class OnLoopBegin, class OnSliceDone>
 void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
                                   std::size_t& volume_cells, common::Rng& rng,
-                                  int first_loop, Activate&& activate, Analyze&& analyze,
-                                  Consult&& consult, OnLoopBegin&& on_loop_begin,
+                                  int first_loop, const roadmap::DrivableMap& map,
+                                  std::span<const ObstacleTimeline> obstacles,
+                                  Activate&& activate, OnTest&& on_test,
+                                  OnLoopBegin&& on_loop_begin,
                                   OnSliceDone&& on_slice_done) const {
   [[maybe_unused]] std::size_t slices_processed = 0;
   [[maybe_unused]] std::size_t states_expanded = 0;
@@ -178,10 +178,20 @@ void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
     activate(slice_idx);
     std::size_t dead_cells = 0;
 
-    // Stage-5 decision pass: consumes one analyzed block sequentially, in
-    // the exact candidate order the historical generate-then-test loop
-    // produced — so dedup bookkeeping, the per-slice cap, and the emitted
-    // tube are bit-identical by construction.
+    // The one candidate test: classify_state against this slice's active
+    // set, reported to the caller's observer (attribution record, replay
+    // test count). The state survives iff nothing rejected it.
+    auto passes = [&](const dynamics::VehicleState& ns) {
+      const BlockRecord rec = classify_state(map, ns, obstacles, scratch.active, slice_idx);
+      on_test(rec, slice_idx);
+      return rec.cls == BlockerClass::kPassed;
+    };
+
+    // Decision pass: consumes one stepped block sequentially, in the exact
+    // candidate order the historical generate-then-test loop produced — so
+    // dedup bookkeeping, the per-slice cap, and the emitted tube are
+    // bit-identical by construction. Only the candidates it consults (those
+    // that open a cell or improve a representative) are tested.
     auto decide = [&](std::size_t block) {
       for (std::size_t i = 0; i < block; ++i) {
         // `candidates` never shrinks within a slice, so once the cap is hit
@@ -191,7 +201,7 @@ void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
                                         lanes.nv[i]};
 
         if (!params_.dedup) {
-          if (!consult(i, ns, slice_idx)) continue;
+          if (!passes(ns)) continue;
           candidates.push_back(ns);
           occupied.insert(lanes.key[i]);
           continue;
@@ -203,7 +213,7 @@ void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
         // second hash lookup on every propagated state.
         auto [reps_slot, inserted] = cells.insert(lanes.key[i]);
         if (inserted) {
-          if (!consult(i, ns, slice_idx)) {
+          if (!passes(ns)) {
             ++dead_cells;  // reps_slot keeps its default min_v = -1 dead marker
             continue;
           }
@@ -219,7 +229,7 @@ void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
         const bool improves = ns.speed < reps.v_lo || ns.speed > reps.v_hi ||
                               ns.heading < reps.h_lo || ns.heading > reps.h_hi;
         if (!improves) continue;
-        if (!consult(i, ns, slice_idx)) continue;
+        if (!passes(ns)) continue;
         const int idx = static_cast<int>(candidates.size());
         candidates.push_back(ns);
         if (ns.speed < reps.v_lo) {
@@ -241,11 +251,10 @@ void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
       }
     };
 
-    // Stages 1–5 over the pending block: batch-step every lane, batch the
-    // cell keys, run the caller's geometry analysis, then decide. A block
-    // queued entirely past the cap is dropped wholesale — the scalar loop
-    // never stepped those candidates either, and `decide` would discard
-    // every one of them.
+    // Stage 1 over the pending block: batch-step every lane and key its
+    // cell, then decide. A block queued entirely past the cap is dropped
+    // wholesale — the scalar loop never stepped those candidates either, and
+    // `decide` would discard every one of them.
     auto flush = [&] {
       const std::size_t block = lanes.count;
       if (block == 0) return;
@@ -262,7 +271,6 @@ void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
       for (std::size_t i = 0; i < block; ++i) {
         lanes.key[i] = xy_key(lanes.nx[i], lanes.ny[i], inv_cell);
       }
-      analyze(slice_idx);
       decide(block);
       lanes.count = 0;
     };
@@ -375,55 +383,6 @@ void ReachTubeComputer::build_active_set(std::span<const ObstacleTimeline> obsta
   }
 }
 
-void ReachTubeComputer::analyze_lanes(std::span<const ObstacleTimeline> obstacles,
-                                      TubeScratch& scratch, common::SliceIdx slice_idx,
-                                      int max_hits) const {
-  auto& lanes = scratch.lanes;
-  const std::size_t n = lanes.count;
-  const std::size_t slice = slice_idx.value();
-  // Exactly dynamics::footprint's extents — the batch kernels and the scalar
-  // narrow phase must describe the same rectangle to the bit.
-  const double half_len = params_.ego_dims.length / 2.0;
-  const double half_wid = params_.ego_dims.width / 2.0;
-
-  geom::footprint_axes(n, lanes.nh.data(), lanes.ax.data(), lanes.ay.data());
-  geom::footprint_aabbs(n, lanes.nx.data(), lanes.ny.data(), lanes.ax.data(),
-                        lanes.ay.data(), half_len, half_wid, lanes.lo_x.data(),
-                        lanes.lo_y.data(), lanes.hi_x.data(), lanes.hi_y.data());
-  std::fill_n(lanes.hits.begin(), n, std::uint8_t{0});
-  // first_hit is only read for lanes whose count is exactly one, and the
-  // first hit always writes it — stale values are never observed.
-
-  const auto hits_cap = static_cast<std::uint8_t>(max_hits);
-  for (const std::uint32_t oi : scratch.active) {
-    const ObstacleTimeline& obs = obstacles[oi];
-    IPRISM_DCHECK(slice < obs.by_slice.size(),
-                  "ReachTube: slice index out of obstacle timeline bounds");
-    const geom::OrientedBox& box = obs.by_slice[slice];
-    // Stage 3: circumradius broad phase for the whole block at once (radius
-    // precomputed per timeline, hoisted per obstacle instead of per lane).
-    const double r = ego_circumradius_ + obs.circumradius_by_slice[slice];
-    const std::size_t survivors =
-        geom::broad_phase_cull(n, lanes.nx.data(), lanes.ny.data(), box.center().x,
-                               box.center().y, r * r, lanes.broad.data());
-    if (survivors == 0) continue;
-    // Stage 4: narrow phase stays scalar — SAT is branchy and short, and
-    // typically runs on a small broad-phase remnant (DESIGN.md §13). Hit
-    // counting saturates at max_hits (1 answers pass/fail; 2 distinguishes
-    // kSole from kMulti), matching the scalar scans' early exits.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (lanes.broad[i] == 0) continue;
-      if (lanes.hits[i] >= hits_cap) continue;
-      const geom::OrientedBox ego_box = geom::OrientedBox::with_axis(
-          {lanes.nx[i], lanes.ny[i]}, half_len, half_wid, lanes.nh[i],
-          {lanes.ax[i], lanes.ay[i]});
-      if (!ego_box.intersects(box)) continue;
-      if (lanes.hits[i] == 0) lanes.first_hit[i] = oi;
-      ++lanes.hits[i];
-    }
-  }
-}
-
 void ReachTubeComputer::load_active_set(const TubeAttribution& attr, TubeScratch& scratch,
                                         std::size_t slice) const {
   IPRISM_DCHECK(slice + 1 < attr.active_offsets.size(),
@@ -452,13 +411,25 @@ ReachTubeComputer::ScratchShape ReachTubeComputer::scratch_shape(
   return ScratchShape{expected, obstacle_count, kLaneBlock + per_parent};
 }
 
-void ReachTubeComputer::check_timelines(std::span<const ObstacleTimeline> obstacles) const {
+void ReachTubeComputer::check_inputs(const dynamics::VehicleState& ego,
+                                     std::span<const ObstacleTimeline> obstacles) const {
+  // A NaN coordinate fails every comparison, so past this point it would
+  // pass the disc and broad-phase tests and "intersect" every candidate (or
+  // leave the map everywhere): a confident, wrong tube. Reject it here.
+  IPRISM_CHECK(std::isfinite(ego.x) && std::isfinite(ego.y) && std::isfinite(ego.heading) &&
+                   std::isfinite(ego.speed),
+               "ReachTube: ego state must be finite");
   for (const ObstacleTimeline& obs : obstacles) {
     IPRISM_CHECK(obs.by_slice.size() == static_cast<std::size_t>(slices_) + 1,
                  "ReachTube: obstacle timeline sliced with different parameters");
     IPRISM_CHECK(obs.circumradius_by_slice.size() == obs.by_slice.size(),
                  "ReachTube: obstacle timeline missing precomputed circumradii "
                  "(build via sample_obstacles or call ObstacleTimeline::finalize)");
+    for (const geom::OrientedBox& box : obs.by_slice) {
+      IPRISM_CHECK(std::isfinite(box.center().x) && std::isfinite(box.center().y) &&
+                       std::isfinite(box.heading()),
+                   "ReachTube: obstacle footprint centre and heading must be finite");
+    }
   }
 }
 
@@ -466,7 +437,7 @@ ReachTube ReachTubeComputer::compute(RiskSession& session, const roadmap::Drivab
                                      const dynamics::VehicleState& ego,
                                      std::span<const ObstacleTimeline> obstacles,
                                      common::ActorId exclude) const {
-  check_timelines(obstacles);
+  check_inputs(ego, obstacles);
 
   // Telemetry at compute() granularity only: the per-state hot loop stays
   // untouched; counters accumulate in plain locals and flush once at exit.
@@ -498,27 +469,10 @@ ReachTube ReachTubeComputer::compute(RiskSession& session, const roadmap::Drivab
 
   std::size_t volume_cells = 1;  // the seed's own cell
   common::Rng rng(params_.sample_seed);
-  const double half_len = params_.ego_dims.length / 2.0;
-  const double half_wid = params_.ego_dims.width / 2.0;
   propagate(
-      scratch, tube, volume_cells, rng, 0,
+      scratch, tube, volume_cells, rng, 0, map, obstacles,
       [&](common::SliceIdx si) { build_active_set(obstacles, ego, scratch, si); },
-      [&](common::SliceIdx si) { analyze_lanes(obstacles, scratch, si, /*max_hits=*/1); },
-      [&](std::size_t lane, const dynamics::VehicleState&, common::SliceIdx) {
-        const auto& lanes = scratch.lanes;
-        // Same answer as a kPassed from the scalar classify_state (map ∧
-        // no obstacle hit), with the obstacle side read from the analyzed
-        // block; neither test has side effects, so evaluation order is free
-        // — check the in-hand hit count before the virtual map call.
-        if (lanes.hits[lane] != 0) return false;
-        return map.contains_box_geom(
-            {lanes.nx[lane], lanes.ny[lane]}, half_len, half_wid,
-            {lanes.ax[lane], lanes.ay[lane]},
-            geom::Aabb{{lanes.lo_x[lane], lanes.lo_y[lane]},
-                       {lanes.hi_x[lane], lanes.hi_y[lane]}},
-            params_.map_margin);
-      },
-      [](int) {}, [](int, std::size_t) {});
+      [](const BlockRecord&, common::SliceIdx) {}, [](int) {}, [](int, std::size_t) {});
 
   tube.volume = static_cast<double>(volume_cells);
   IPRISM_DCHECK(tube.volume >= 1.0, "ReachTube: non-empty tube must have positive volume");
@@ -529,7 +483,7 @@ AttributedTube ReachTubeComputer::compute_attributed(
     RiskSession& session, const roadmap::DrivableMap& map,
     const dynamics::VehicleState& ego,
     std::span<const ObstacleTimeline> obstacles) const {
-  check_timelines(obstacles);
+  check_inputs(ego, obstacles);
   IPRISM_SCOPED_TIMER("reachtube.compute_attributed", "reachtube");
 
   AttributedTube out;
@@ -588,36 +542,11 @@ AttributedTube ReachTubeComputer::compute_attributed(
   std::size_t volume_cells = 1;  // the seed's own cell
   attr.volume_prefix[0] = 1;
   common::Rng rng(params_.sample_seed);
-  const double half_len = params_.ego_dims.length / 2.0;
-  const double half_wid = params_.ego_dims.width / 2.0;
   int last_done = 0;
   propagate(
-      scratch, tube, volume_cells, rng, 0,
+      scratch, tube, volume_cells, rng, 0, map, obstacles,
       [&](common::SliceIdx si) { load_active_set(attr, scratch, si.value()); },
-      [&](common::SliceIdx si) { analyze_lanes(obstacles, scratch, si, /*max_hits=*/2); },
-      [&](std::size_t lane, const dynamics::VehicleState&, common::SliceIdx si) {
-        // classify_state over the analyzed block: off-map wins outright (no
-        // actor removal rescues it); otherwise the saturating hit count
-        // separates kPassed / kSole / kMulti, with first_hit as the sole
-        // blocker — the same outcome the scalar two-hit scan produces.
-        const auto& lanes = scratch.lanes;
-        BlockRecord rec;
-        if (!map.contains_box_geom(
-                {lanes.nx[lane], lanes.ny[lane]}, half_len, half_wid,
-                {lanes.ax[lane], lanes.ay[lane]},
-                geom::Aabb{{lanes.lo_x[lane], lanes.lo_y[lane]},
-                           {lanes.hi_x[lane], lanes.hi_y[lane]}},
-                params_.map_margin)) {
-          rec.cls = BlockerClass::kOffMap;
-        } else if (lanes.hits[lane] == 1) {
-          rec.cls = BlockerClass::kSole;
-          rec.sole_blocker = lanes.first_hit[lane];
-        } else if (lanes.hits[lane] >= 2) {
-          rec.cls = BlockerClass::kMulti;
-        }
-        record(rec, si.value());
-        return rec.cls == BlockerClass::kPassed;
-      },
+      [&](const BlockRecord& rec, common::SliceIdx si) { record(rec, si.value()); },
       [&](int j) { attr.rng_at_loop[static_cast<std::size_t>(j)] = rng; },
       [&](int j, std::size_t volume) {
         attr.volume_prefix[static_cast<std::size_t>(j) + 1] = volume;
@@ -676,15 +605,6 @@ ReachTube ReachTubeComputer::replay_counterfactual(
     scratch.excluded[exclude_index] = 1;
   }
 
-  // Every candidate is re-tested against this replay's active set: the
-  // base's slice-j active set minus the excluded indices, which is exactly
-  // what a from-scratch propagation without them would build.
-  auto passes = [&](const dynamics::VehicleState& ns, common::SliceIdx si) {
-    ++st.fresh_tests;
-    return classify_state(map, ns, obstacles, scratch.active, si).cls ==
-           BlockerClass::kPassed;
-  };
-
   std::size_t volume_cells = 0;
   common::Rng rng(params_.sample_seed);
   int first_loop = 0;
@@ -692,7 +612,11 @@ ReachTube ReachTubeComputer::replay_counterfactual(
     // The seed itself was blocker-rejected in the base run; the replay
     // starts from scratch.
     load_active_set(attr, scratch, 0);
-    if (!passes(ego, common::SliceIdx{0})) return tube;
+    ++st.fresh_tests;
+    if (classify_state(map, ego, obstacles, scratch.active, common::SliceIdx{0}).cls !=
+        BlockerClass::kPassed) {
+      return tube;
+    }
     tube.slices[0].push_back(ego);
     volume_cells = 1;
   } else {
@@ -704,21 +628,16 @@ ReachTube ReachTubeComputer::replay_counterfactual(
     rng = attr.rng_at_loop[jstar - 1];
     first_loop = static_cast<int>(jstar) - 1;
   }
-  // Replays share the batch step/key stages but skip the batched geometry:
-  // the decision pass consults only lanes that open a cell or improve a
-  // representative, so testing just those with the scalar classify_state
-  // beats analyzing every queued lane (DESIGN.md §12). The active set is the
+  // Every candidate is re-tested against this replay's active set: the
   // base run's, filtered through this replay's exclusions while loading —
   // identical to rebuilding it, since the disc test never depended on
-  // exclusions.
+  // exclusions — which is exactly what a from-scratch propagation without
+  // the excluded actors would test against.
   propagate(
-      scratch, tube, volume_cells, rng, first_loop,
+      scratch, tube, volume_cells, rng, first_loop, map, obstacles,
       [&](common::SliceIdx si) { load_active_set(attr, scratch, si.value()); },
-      [](common::SliceIdx) {},
-      [&](std::size_t, const dynamics::VehicleState& ns, common::SliceIdx si) {
-        return passes(ns, si);
-      },
-      [](int) {}, [](int, std::size_t) {});
+      [&](const BlockRecord&, common::SliceIdx) { ++st.fresh_tests; }, [](int) {},
+      [](int, std::size_t) {});
 
   tube.volume = static_cast<double>(volume_cells);
   IPRISM_DCHECK(tube.volume >= 1.0, "ReachTube: non-empty tube must have positive volume");

@@ -14,10 +14,9 @@
 //       diversity that determines the cell's future spread; interior states
 //       add no occupancy;
 //   (2) boundary controls: instead of uniform control sampling, enumerate
-//       the boundary control combinations (the paper's set
-//       {0, a_max} x {phi_min, 0, phi_max}; this library defaults to the
-//       symmetric {a_min, 0, a_max} x {phi_min, 0, phi_max} so braking
-//       escape routes are represented — see DESIGN.md §5).
+//       the boundary control combinations — by default the paper's set
+//       {0, a_max} x {phi_min, 0, phi_max}; `include_braking_boundary`
+//       adds a_min for the braking ablation (DESIGN.md §5).
 //
 // |T| — the tube's "volume" / state-space occupancy [45] — is the number of
 // distinct occupied (x, y) grid cells summed over time slices.
@@ -58,12 +57,13 @@ struct ReachTubeParams {
   double map_margin = 0.3;   ///< footprint shrink for the drivable-area test (m)
   double wheelbase = 2.7;
   std::uint64_t sample_seed = 42;  ///< RNG stream for uniform sampling
-  /// Worker threads for the N+2 tube fan-out in StiCalculator (each of |T|,
-  /// |T^{∅}|, and the per-actor counterfactuals is an independent tube).
-  /// 0 = serial (default). A single tube is always computed on one thread —
-  /// its slices are sequentially dependent — so this knob never changes any
-  /// result, only wall-clock (DESIGN.md §8). RiskMonitorParams::tube and
-  /// SmcTrainConfig::tube plumb it into the monitor and SMC training.
+  /// Worker threads for StiCalculator's fan-out: after one serial attributed
+  /// base propagation (|T|), the N+1 derived tubes — |T^{∅}| and the
+  /// per-actor counterfactuals — are independent replays of it and run in
+  /// parallel. 0 = serial (default). A single tube is always computed on one
+  /// thread — its slices are sequentially dependent — so this knob never
+  /// changes any result, only wall-clock (DESIGN.md §8). RiskMonitorParams::tube
+  /// and SmcTrainConfig::tube plumb it into the monitor and SMC training.
   int num_threads = 0;
 };
 
@@ -251,42 +251,30 @@ class ReachTubeComputer {
 
   /// Shared propagation loop: runs slice loops [first_loop, slice_count)
   /// given tube.slices[first_loop] (and everything before it) already
-  /// populated. The loop is staged (DESIGN.md §13): parent×control pairs are
-  /// queued into structure-of-arrays lane buffers, batch-stepped and
-  /// batch-analyzed a block at a time, and then consumed by one sequential
-  /// decision pass that replicates the candidate order — and therefore the
-  /// dedup/cap/RNG semantics — of the historical generate-then-test loop
-  /// exactly. The caller supplies three policy hooks:
+  /// populated. Parent×control pairs are queued into structure-of-arrays
+  /// lane buffers and batch-stepped a block at a time (DESIGN.md §13); one
+  /// sequential decision pass then consumes the block in the candidate order
+  /// — and therefore with the dedup/cap/RNG semantics — of the historical
+  /// generate-then-test loop, testing each candidate it consults with
+  /// classify_state against `obstacles`. The caller supplies the policy:
   ///
   ///   activate(slice)        — fill scratch.active for the slice;
-  ///   analyze(slice)         — batched geometry over the pending lane block
-  ///                            (no-op for replays);
-  ///   consult(lane, ns, slice) — "does this candidate survive", reading the
-  ///                            analyzed lane outcomes (or, for replays,
-  ///                            testing the state with classify_state).
+  ///   on_test(record, slice) — observe one test's BlockRecord (the
+  ///                            attribution recorder, the replay test count;
+  ///                            a no-op for plain compute).
   ///
   /// `on_loop_begin(j)` / `on_slice_done(j, volume)` are the attribution
   /// recorder's hooks; the plain and replay paths pass no-ops that inline
   /// away. Every caller — plain, attributed, replay — funnels through this
-  /// one loop, which is the §12 bit-identity argument: a replay is the
-  /// from-scratch loop resumed at its divergence slice, with each candidate
-  /// answered by the scalar test the staged one is bit-identical to (§13).
-  template <class Activate, class Analyze, class Consult, class OnLoopBegin,
-            class OnSliceDone>
+  /// one loop and this one test, which is the §12 bit-identity argument: a
+  /// replay is the from-scratch loop resumed at its divergence slice.
+  template <class Activate, class OnTest, class OnLoopBegin, class OnSliceDone>
   void propagate(detail::TubeScratch& scratch, ReachTube& tube,
                  std::size_t& volume_cells, common::Rng& rng, int first_loop,
-                 Activate&& activate, Analyze&& analyze, Consult&& consult,
-                 OnLoopBegin&& on_loop_begin, OnSliceDone&& on_slice_done) const;
-
-  /// Stages (2)–(4) over the pending lane block: batch footprint axes and
-  /// corner AABBs (geom/batch.hpp), then per active obstacle a vectorized
-  /// circumradius broad-phase cull followed by scalar narrow-phase SAT for
-  /// the survivors. Fills lanes.{ax,ay,lox,loy,hix,hiy,hits,first_hit};
-  /// per-lane hit counting saturates at `max_hits` (1 answers pass/fail,
-  /// 2 distinguishes kSole from kMulti).
-  void analyze_lanes(std::span<const ObstacleTimeline> obstacles,
-                     detail::TubeScratch& scratch, common::SliceIdx slice,
-                     int max_hits) const;
+                 const roadmap::DrivableMap& map,
+                 std::span<const ObstacleTimeline> obstacles, Activate&& activate,
+                 OnTest&& on_test, OnLoopBegin&& on_loop_begin,
+                 OnSliceDone&& on_slice_done) const;
 
   /// Loads `scratch.active` for one slice from the attribution's precomputed
   /// per-slice sets, dropping indices flagged in `scratch.excluded`. Equal to
@@ -323,16 +311,18 @@ class ReachTubeComputer {
                         const dynamics::VehicleState& seed, detail::TubeScratch& scratch,
                         common::SliceIdx slice) const;
 
-  /// Fail-fast validation that every timeline was sliced for these params
-  /// and carries precomputed circumradii.
-  void check_timelines(std::span<const ObstacleTimeline> obstacles) const;
+  /// Fail-fast input contract of compute / compute_attributed: a finite ego
+  /// state, and every timeline sliced for these params, carrying precomputed
+  /// circumradii and finite footprint centres and headings.
+  void check_inputs(const dynamics::VehicleState& ego,
+                    std::span<const ObstacleTimeline> obstacles) const;
 
   /// The one scalar candidate test: off-map, or a scan of the slice's
   /// *active* obstacle subset (`active` holds indices into `obstacles`,
   /// filtered once per slice against a conservative reachable-disc bound)
   /// that stops at the *second* blocker — two is enough, no single-actor
-  /// removal rescues a kMulti. Serves every seed test and every replay
-  /// candidate; the state survives iff the result is kPassed.
+  /// removal rescues a kMulti. Serves every seed test and every candidate
+  /// the propagation consults; the state survives iff the result is kPassed.
   BlockRecord classify_state(const roadmap::DrivableMap& map,
                              const dynamics::VehicleState& s,
                              std::span<const ObstacleTimeline> obstacles,

@@ -22,10 +22,10 @@ namespace iprism::core::detail {
 
 /// Lane-block size for the staged propagation (DESIGN.md §13): parent×control
 /// pairs are queued into structure-of-arrays buffers until at least this many
-/// lanes are pending, then batch-stepped, batch-analyzed, and consumed by one
-/// sequential decision pass. The value trades cache residency of the lane
-/// buffers against amortizing per-block fixed costs; results are independent
-/// of it — every kernel is a pure per-lane computation and the decision pass
+/// lanes are pending, then batch-stepped and consumed by one sequential
+/// decision pass. The value trades cache residency of the lane buffers
+/// against amortizing per-block fixed costs; results are independent of it —
+/// the step kernel is a pure per-lane computation and the decision pass
 /// preserves candidate order.
 constexpr std::size_t kLaneBlock = 1024;
 
@@ -63,34 +63,24 @@ struct TubeScratch {
 
   /// Structure-of-arrays lane buffers for the staged propagation (§13). A
   /// "lane" is one pending parent×control pair; `count` lanes are queued,
-  /// then the whole block runs through stages 1–4 before the decision pass
-  /// consumes it. Every array is sized once to the scratch's lane capacity
-  /// (kLaneBlock plus one parent's worst-case control count, so the flush
-  /// threshold can never overflow a block), keeping the slice loop free of
-  /// lane-buffer allocations.
+  /// then the whole block is stepped before the decision pass consumes it.
+  /// Every array is sized once to the scratch's lane capacity (kLaneBlock
+  /// plus one parent's worst-case control count, so the flush threshold can
+  /// never overflow a block), keeping the slice loop free of lane-buffer
+  /// allocations.
   struct Lanes {
     std::size_t count = 0;
-    // Stage-0 inputs, queued parent-major in exact scalar candidate order.
+    // Queued inputs, parent-major in exact scalar candidate order.
     std::vector<double> px, py, ph, pv, accel, tan_steer;
     // Stage-1 outputs: batch-stepped successor states and their cell keys.
     std::vector<double> nx, ny, nh, nv;
     std::vector<std::uint64_t> key;
-    // Stage-2/3 outputs: footprint long axis, corner AABB, broad-phase mask.
-    std::vector<double> ax, ay, lo_x, lo_y, hi_x, hi_y;
-    std::vector<unsigned char> broad;
-    // Stage-4 outputs: saturating hit count and the first hitting obstacle.
-    std::vector<std::uint8_t> hits;
-    std::vector<std::uint32_t> first_hit;
 
     void allocate(std::size_t cap) {
-      for (auto* v : {&px, &py, &ph, &pv, &accel, &tan_steer, &nx, &ny, &nh, &nv, &ax,
-                      &ay, &lo_x, &lo_y, &hi_x, &hi_y}) {
+      for (auto* v : {&px, &py, &ph, &pv, &accel, &tan_steer, &nx, &ny, &nh, &nv}) {
         v->resize(cap);
       }
       key.resize(cap);
-      broad.resize(cap);
-      hits.resize(cap);
-      first_hit.resize(cap);
     }
 
     void push(const dynamics::VehicleState& s, double a, double tan_phi) {

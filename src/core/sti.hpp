@@ -53,11 +53,12 @@ class StiCalculator {
  public:
   /// An immutable engine after construction (DESIGN.md §14): every compute
   /// is const and mutates only the session it is handed. With
-  /// `params.num_threads > 0` the N+2 fan-out runs on `pool` when given, or
-  /// on the process-wide common::ThreadPool::shared() — M calculators share
-  /// one set of workers instead of spawning M pools. `num_threads == 0`
-  /// stays strictly serial (pool ignored). Thread count and pool choice
-  /// never change any result (DESIGN.md §8).
+  /// `params.num_threads > 0` the N+1 derived tubes fan out, after the one
+  /// serial attributed base, on `pool` when given, or on the process-wide
+  /// common::ThreadPool::shared() — M calculators share one set of workers
+  /// instead of spawning M pools. `num_threads == 0` stays strictly serial
+  /// (pool ignored). Thread count and pool choice never change any result
+  /// (DESIGN.md §8).
   explicit StiCalculator(const ReachTubeParams& params = {},
                          common::ThreadPool* pool = nullptr);
 

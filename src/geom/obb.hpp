@@ -19,14 +19,6 @@ class OrientedBox {
   /// half_length/half_width must be non-negative (checked).
   OrientedBox(const Vec2& center, double half_length, double half_width, double heading);
 
-  /// Constructs with a caller-supplied unit axis, skipping the constructor's
-  /// cos/sin. `axis` must be heading_vec(heading) to the bit (DCHECKed) —
-  /// the batched geometry kernels (geom/batch.hpp) compute the axes once per
-  /// lane and rebuild boxes for the scalar narrow phase without re-deriving
-  /// them, so the box is indistinguishable from one built the normal way.
-  static OrientedBox with_axis(const Vec2& center, double half_length, double half_width,
-                               double heading, const Vec2& axis);
-
   const Vec2& center() const { return center_; }
   double half_length() const { return half_length_; }
   double half_width() const { return half_width_; }

@@ -54,18 +54,6 @@ class DrivableMap {
   /// by `margin` metres toward the box centre; analytic maps may override
   /// with an exact band test.
   virtual bool contains_box(const geom::OrientedBox& box, double margin = 0.0) const;
-
-  /// Same predicate as contains_box, taking the footprint pieces the batched
-  /// reach-tube kernels (geom/batch.hpp) already hold in lane buffers —
-  /// centre, half extents, cached long axis, and the corner AABB — instead
-  /// of an OrientedBox. Must agree with contains_box for the box those
-  /// pieces describe: a map overriding one must override the other to the
-  /// same predicate (both defaults here share one implementation, and
-  /// StraightRoad overrides both with the same band test; the
-  /// GeomKernelIdentity suite fails on the first divergence).
-  virtual bool contains_box_geom(const geom::Vec2& center, double half_length,
-                                 double half_width, const geom::Vec2& axis_long,
-                                 const geom::Aabb& aabb, double margin) const;
 };
 
 using MapPtr = std::shared_ptr<const DrivableMap>;

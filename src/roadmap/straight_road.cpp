@@ -8,32 +8,13 @@ namespace iprism::roadmap {
 
 double DrivableMap::curvature_at(double /*s*/, double /*d*/) const { return 0.0; }
 
-namespace {
-
-/// Shared body of the two contains_box* defaults: the four margin-shrunk
-/// extent corners must lie on the drivable surface. One implementation so
-/// the OrientedBox and geometry-pieces entry points cannot drift apart.
-bool shrunk_corners_on_surface(const DrivableMap& map, const geom::Vec2& center,
-                               const geom::Vec2& axis_long, double half_length,
-                               double half_width, double margin) {
-  const geom::Vec2 fwd = axis_long * std::max(half_length - margin, 0.0);
-  const geom::Vec2 left = axis_long.perp() * std::max(half_width - margin, 0.0);
-  return map.contains(center + fwd + left) && map.contains(center + fwd - left) &&
-         map.contains(center - fwd + left) && map.contains(center - fwd - left);
-}
-
-}  // namespace
-
 bool DrivableMap::contains_box(const geom::OrientedBox& box, double margin) const {
-  return shrunk_corners_on_surface(*this, box.center(), box.axis_long(), box.half_length(),
-                                   box.half_width(), margin);
-}
-
-bool DrivableMap::contains_box_geom(const geom::Vec2& center, double half_length,
-                                    double half_width, const geom::Vec2& axis_long,
-                                    const geom::Aabb& /*aabb*/, double margin) const {
-  return shrunk_corners_on_surface(*this, center, axis_long, half_length, half_width,
-                                   margin);
+  // The four margin-shrunk extent corners must lie on the drivable surface.
+  const geom::Vec2 c = box.center();
+  const geom::Vec2 fwd = box.axis_long() * std::max(box.half_length() - margin, 0.0);
+  const geom::Vec2 left = box.axis_lat() * std::max(box.half_width() - margin, 0.0);
+  return contains(c + fwd + left) && contains(c + fwd - left) && contains(c - fwd + left) &&
+         contains(c - fwd - left);
 }
 
 StraightRoad::StraightRoad(int lanes, double lane_width, double length)
@@ -59,16 +40,9 @@ double StraightRoad::lane_center_offset(int lane) const {
 }
 
 bool StraightRoad::contains_box(const geom::OrientedBox& box, double margin) const {
-  return contains_box_geom(box.center(), box.half_length(), box.half_width(),
-                           box.axis_long(), box.aabb(), margin);
-}
-
-bool StraightRoad::contains_box_geom(const geom::Vec2& center, double /*half_length*/,
-                                     double /*half_width*/, const geom::Vec2& /*axis_long*/,
-                                     const geom::Aabb& aabb, double margin) const {
   // Exact: the box corners define the extremes on an axis-aligned band.
-  const geom::Aabb bb = aabb.inflated(-margin);
-  if (bb.empty()) return contains(center);
+  const geom::Aabb bb = box.aabb().inflated(-margin);
+  if (bb.empty()) return contains(box.center());
   return bb.lo.x >= 0.0 && bb.hi.x <= length_ && bb.lo.y >= 0.0 &&
          bb.hi.y <= lanes_ * lane_width_;
 }

@@ -3,8 +3,8 @@
 // the identity suites share.
 //
 // The production engine (src/core) reaches the same tubes through a staged
-// SoA pipeline — batch step/footprint kernels, per-slice obstacle active
-// sets, a vectorized broad phase, an attributed base propagation, resumed
+// loop — a lane queue and batch step kernel, per-slice obstacle active
+// sets, a circumradius broad phase, an attributed base propagation, resumed
 // counterfactual replays, a thread-pool fan-out and pooled session scratch.
 // None of that exists here: the oracle steps one candidate at a time and
 // tests it against every non-excluded obstacle with an exact SAT test. Every

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/cli.hpp"
 #include "common/csv.hpp"
@@ -32,6 +33,43 @@ TEST(CliArgs, FallbacksWhenMissing) {
 TEST(CliArgs, RejectsPositionalArguments) {
   const char* argv[] = {"prog", "oops"};
   EXPECT_THROW(CliArgs(2, argv), std::invalid_argument);
+}
+
+TEST(CliArgs, RejectsMalformedNumbers) {
+  // Each value must parse whole: a prefix parse would turn --n=1e3 into one
+  // scenario and --seconds=2s into two seconds without a word.
+  auto rejects = [](const char* arg, bool as_int) {
+    const char* argv[] = {"prog", arg};
+    const CliArgs args(2, argv);
+    const std::string key = as_int ? "n" : "seconds";
+    try {
+      if (as_int) {
+        args.get_int(key, 0);
+      } else {
+        args.get_double(key, 0.0);
+      }
+    } catch (const std::invalid_argument& e) {
+      // The message names the flag, so the user knows which one to fix.
+      return std::string(e.what()).find("--" + key) != std::string::npos;
+    }
+    return false;
+  };
+  for (const char* arg : {"--n=1e3", "--n=12abc", "--n=3.9", "--n=99999999999", "--n=",
+                          "--n=two"}) {
+    EXPECT_TRUE(rejects(arg, true)) << arg;
+  }
+  for (const char* arg : {"--seconds=2s", "--seconds=nan", "--seconds=inf",
+                          "--seconds=-inf", "--seconds=1e999", "--seconds="}) {
+    EXPECT_TRUE(rejects(arg, false)) << arg;
+  }
+
+  // The forms the benchmark drivers and CI pass still parse.
+  const char* argv[] = {"prog", "--seconds=55.0", "--trace=0", "--n=50", "--threads=2"};
+  const CliArgs args(5, argv);
+  EXPECT_DOUBLE_EQ(args.get_double("seconds", 0.0), 55.0);
+  EXPECT_EQ(args.get_int("trace", 1), 0);
+  EXPECT_EQ(args.get_int("n", 0), 50);
+  EXPECT_EQ(args.get_int("threads", 0), 2);
 }
 
 TEST(Table, RendersAlignedColumns) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "dynamics/cvtr.hpp"
 #include "roadmap/straight_road.hpp"
@@ -203,6 +206,28 @@ TEST(Sti, DuplicateValidActorIdsRejected) {
                                             actor(4, 70.0, 1.75, 4.0)};
   EXPECT_THROW(sti.compute(session, *map, ego_state(), 0.0_s, twins), std::invalid_argument);
   EXPECT_THROW(sti.combined(session, *map, ego_state(), 0.0_s, twins), std::invalid_argument);
+}
+
+TEST(Sti, NonFiniteInputsRejected) {
+  // A NaN fails every comparison, so it slipped past the map, disc and
+  // broad-phase tests and came out as a confident STI: 0 for a NaN ego, 1
+  // for a forecast at x = NaN. Both entry points reject it instead.
+  const StiCalculator sti;
+  RiskSession session;
+  const auto map = test_map();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<ActorForecast> parked_lead = {actor(1, 62.0, 5.25, 0.0)};
+  dynamics::VehicleState inf_heading = ego_state();
+  inf_heading.heading = std::numeric_limits<double>::infinity();
+  for (const dynamics::VehicleState& ego : {ego_state(nan), ego_state(50.0, 5.25, nan),
+                                           inf_heading}) {
+    EXPECT_THROW(sti.compute(session, *map, ego, 0.0_s, parked_lead), std::invalid_argument);
+    EXPECT_THROW(sti.combined(session, *map, ego, 0.0_s, parked_lead), std::invalid_argument);
+  }
+  const std::vector<ActorForecast> nan_lead = {actor(1, nan, 5.25, 0.0)};
+  EXPECT_THROW(sti.compute(session, *map, ego_state(), 0.0_s, nan_lead), std::invalid_argument);
+  EXPECT_THROW(sti.combined(session, *map, ego_state(), 0.0_s, nan_lead),
+               std::invalid_argument);
 }
 
 TEST(Sti, RepeatedAnonymousActorsAcceptedWithZeroSti) {

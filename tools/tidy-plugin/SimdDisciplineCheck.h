@@ -1,23 +1,22 @@
 // iprism-simd-discipline
 //
-// Flags SIMD back doors outside the batched kernel TUs: vendor intrinsics
+// Flags SIMD back doors outside the batch kernel TU: vendor intrinsics
 // headers (immintrin.h, arm_neon.h, ...), vectorization-forcing pragmas
 // (`#pragma omp simd`, `#pragma GCC ivdep`, `#pragma clang loop
 // vectorize/interleave`), and per-function target attributes
 // (`__attribute__((target(...)))`).
 //
-// The reach-tube kernels are portable fixed-width lane loops compiled with
-// -ffp-contract=off; whatever the compiler makes of them must match the
-// scalar path bit for bit (DESIGN.md §13). Each construct above puts code
+// The reach-tube step kernel is a portable fixed-width lane loop compiled
+// with -ffp-contract=off; whatever the compiler makes of it must match the
+// scalar model bit for bit (DESIGN.md §13). Each construct above puts code
 // outside that contract — hand-vectorized code can re-round intermediates,
 // forced vectorization can reassociate reductions, and target attributes
-// fork codegen per CPU — so they are confined to the kernel TUs, where the
+// fork codegen per CPU — so they are confined to the kernel TU, where the
 // GeomKernelIdentity suite enforces the contract.
 //
 // Options:
 //   AllowedFilesRegex — files exempt from the ban (default: the batch
-//                       kernel TUs, src/geom/batch* and
-//                       src/dynamics/*_batch*).
+//                       kernel TU, src/dynamics/*_batch*).
 #ifndef IPRISM_TIDY_PLUGIN_SIMD_DISCIPLINE_CHECK_H
 #define IPRISM_TIDY_PLUGIN_SIMD_DISCIPLINE_CHECK_H
 
